@@ -11,6 +11,7 @@ eigenvector products replace the classical quadrature weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -97,12 +98,14 @@ def build_j_matrix(m: int, nu: float) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+@lru_cache(maxsize=8)
 def gauss_rule(m: int, nu: float) -> QuadratureRule:
     """Gauss quadrature of size m from diagonalizing the J matrix.
 
     Nodes are sorted ascending; each eigenvector column is sign-fixed so its
     first component of non-negligible magnitude is positive, making outputs
-    bit-stable across runs.
+    bit-stable across runs. Rules are cached by (m, nu) and shared between
+    callers, which is safe because their arrays are read-only.
     """
     diag, off = j_matrix_bands(m, nu)
     try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import ChannelConfig, QuadratureRule, gauss_rule
-from .errors import ConfigError
+from .errors import ConfigError, EigensolverError
 from .potential import PotentialModel, eval_potential
 
 
@@ -118,6 +118,8 @@ class RotatedHamiltonian:
         self._static.setflags(write=False)
 
     def matrix(self, energy: complex) -> np.ndarray:
+        if not np.isfinite(energy):
+            raise EigensolverError(f"non-finite energy {energy}")
         return self._static + energy * self._dh_de
 
     @property

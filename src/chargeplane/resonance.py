@@ -13,17 +13,17 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .basis import ChannelConfig
-from .eigensolver import eigen_decompose, eigenvalue_derivative
-from .errors import AmbiguousSelectionError, DegenerateEigenvectorError, EigensolverError
+from .errors import EigensolverError
 from .hamiltonian import RotatedHamiltonian
 from .potential import PotentialModel
 from .trajectory import EnergyGrid, Trajectory, sweep
 
 RESIDUAL_TOL = 1e-10
-STEP_TOL = 1e-13
 MAX_ITER = 50
+START_STEPS = 3
 DEDUP_TOL = 1e-6
 
 
@@ -62,7 +62,7 @@ class Resonance:
     energy: complex
     converged: bool
     iterations: int = 0
-    residual: float = np.inf
+    residual: float = np.inf  # backward error ||(M(E) - Z_t) x|| at ||x|| = 1
     stability: StabilityReport | None = None
 
     @property
@@ -109,18 +109,6 @@ def detect_crossings(
     return candidates
 
 
-def _select_nearest(values: np.ndarray, target: complex):
-    """Index of the eigenvalue nearest the target, rejecting ties."""
-    dist = np.abs(values - target)
-    order = np.argsort(dist)
-    if len(values) > 1 and dist[order[1]] - dist[order[0]] < 1e-9:
-        raise AmbiguousSelectionError(
-            f"two eigenvalues equidistant from Z = {target} "
-            f"(distances {dist[order[0]]:.3e}, {dist[order[1]]:.3e}); refine the grid"
-        )
-    return int(order[0])
-
-
 def refine_resonance(
     guess: complex,
     z_target: float,
@@ -130,54 +118,48 @@ def refine_resonance(
 ) -> Resonance:
     """Newton iteration on complex E driving the nearest eigenvalue to Z.
 
-    The step uses the analytic eigenvalue derivative; it is halved when the
-    residual grows, and a two-point secant step covers quasi-null
-    eigenvectors. Non-convergence is reported in-band (converged = False).
+    With M(E) = S + E*D, the Newton step from an eigenpair (Z, x) of M(E)
+    with the analytic slope dZ/dE = x.T D x / x.T x lands at
+    E' = -x.T (S - Z_t) x / x.T D x, the c-product Rayleigh quotient of the
+    pencil (S - Z_t) + E*D. So each step takes that quotient and updates x
+    by one inverse-iteration solve, x <- (M(E) - Z_t)^-1 D x, in place of a
+    full eigendecomposition. The start vector is a fixed vector after
+    START_STEPS inverse-iteration solves with M(guess) - Z_t, which selects
+    the branch whose Z is nearest Z_t at the guess.
+
+    The iteration stops when the backward error ||(M(E) - Z_t) x|| with
+    ||x|| = 1 is at most RESIDUAL_TOL; after MAX_ITER steps without that,
+    non-convergence is reported in-band (converged = False). Raises
+    EigensolverError on a non-finite guess or a non-finite solve.
     """
+    if not np.isfinite(guess):
+        raise EigensolverError(f"non-finite energy guess {guess}")
     if ham is None:
         ham = RotatedHamiltonian(cfg, model)
+    shift = z_target * np.eye(cfg.n_basis)
+    shifted = ham.matrix(0.0) - shift
     deriv_mat = ham.derivative
 
-    def probe(e):
-        es = eigen_decompose(ham.matrix(e))
-        idx = _select_nearest(es.values, z_target)
-        return es.values[idx], es.vectors[:, idx]
+    def solve(lu, rhs):
+        x = lu_solve(lu, rhs, check_finite=False)
+        norm = np.linalg.norm(x)
+        if not np.isfinite(norm):
+            raise EigensolverError(f"non-finite solve at order {len(x)}", order=len(x))
+        return x / norm
 
-    energy = complex(guess)
-    z, x = probe(energy)
-    prev = None  # (energy, z) for the secant fallback
-    iterations = 0
+    lu = lu_factor(ham.matrix(guess) - shift, check_finite=False)
+    x = np.ones(cfg.n_basis, dtype=complex)
+    for _ in range(START_STEPS):
+        x = solve(lu, x)
     for iterations in range(1, MAX_ITER + 1):
-        residual = abs(z - z_target)
+        dx = deriv_mat @ x
+        energy = complex(-(x @ (shifted @ x)) / (x @ dx))
+        mat = ham.matrix(energy) - shift
+        residual = float(np.linalg.norm(mat @ x))
         if residual <= RESIDUAL_TOL:
-            return Resonance(z_target, cfg.l, energy, True, iterations - 1, residual)
-        try:
-            slope = eigenvalue_derivative(deriv_mat, x)
-        except DegenerateEigenvectorError:
-            if prev is None or energy == prev[0]:
-                slope = None
-            else:
-                slope = (z - prev[1]) / (energy - prev[0])
-        if slope is None or slope == 0:
-            # No usable derivative: nudge and retry via secant next round.
-            prev = (energy, z)
-            energy = energy * (1 + 1e-6) + 1e-8
-            z, x = probe(energy)
-            continue
-        step = (z_target - z) / slope
-        if abs(step) <= STEP_TOL:
-            return Resonance(z_target, cfg.l, energy, True, iterations, abs(z - z_target))
-        prev = (energy, z)
-        trial = energy + step
-        z_new, x_new = probe(trial)
-        halvings = 0
-        while abs(z_new - z_target) > abs(z - z_target) and halvings < 8:
-            step /= 2
-            trial = energy + step
-            z_new, x_new = probe(trial)
-            halvings += 1
-        energy, z, x = trial, z_new, x_new
-    return Resonance(z_target, cfg.l, energy, False, iterations, abs(z - z_target))
+            return Resonance(z_target, cfg.l, energy, True, iterations, residual)
+        x = solve(lu_factor(mat, check_finite=False), dx)
+    return Resonance(z_target, cfg.l, energy, False, MAX_ITER, residual)
 
 
 def stability_scan(
@@ -203,7 +185,7 @@ def stability_scan(
         point_cfg = replace(cfg, scale=lam, theta=theta, n_basis=n, quad_size=n + oversample)
         try:
             point = refine_resonance(res.energy, res.z_target, point_cfg, model)
-        except (AmbiguousSelectionError, EigensolverError):
+        except EigensolverError:
             entries.append((lam, theta, n, None, False))
             all_converged = False
             continue
@@ -254,11 +236,11 @@ def auto_search(
     found: list[Resonance] = []
     for im_part in im_schedule:
         grid = EnergyGrid(re_range[0], re_range[1], steps, im_part)
-        trajectories = sweep(cfg, model, grid, threads=threads)
+        trajectories = sweep(cfg, model, grid, threads=threads, ham=ham)
         for cand in detect_crossings(trajectories, z_targets, window):
             try:
                 res = refine_resonance(cand.e_guess, cand.z_target, cfg, model, ham)
-            except (AmbiguousSelectionError, EigensolverError):
+            except EigensolverError:
                 continue
             if not res.converged:
                 continue

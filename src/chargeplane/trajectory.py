@@ -98,12 +98,15 @@ def sweep(
     model: PotentialModel,
     grid: EnergyGrid,
     threads: int = 1,
+    ham: RotatedHamiltonian | None = None,
 ) -> list[Trajectory]:
     """Trace all N eigenvalue branches over the energy grid.
 
     Branch ids follow the sorted eigenvalue order of the first sample.
+    `ham` reuses a caller's assembly of the same (cfg, model).
     """
-    ham = RotatedHamiltonian(cfg, model)
+    if ham is None:
+        ham = RotatedHamiltonian(cfg, model)
     energies = grid.energies()
 
     def solve(e):

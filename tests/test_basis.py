@@ -86,6 +86,17 @@ class TestGaussRule:
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.vectors, b.vectors)
 
+    def test_cached_by_arguments(self):
+        rule = gauss_rule(20, 3.0)
+        assert gauss_rule(20, 3.0) is rule
+        fresh = gauss_rule.__wrapped__(20, 3.0)
+        assert np.array_equal(fresh.nodes, rule.nodes)
+        assert np.array_equal(fresh.vectors, rule.vectors)
+        for arr in (rule.nodes, rule.vectors):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     @pytest.mark.parametrize("nu", [1.0, 3.0, 7.0])
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_polynomial_exactness(self, nu, j):

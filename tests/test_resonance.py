@@ -1,10 +1,18 @@
 """Tests for crossing detection, Newton refinement, and stability scans."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeplane.basis import ChannelConfig
+from chargeplane.errors import EigensolverError
+from chargeplane.hamiltonian import RotatedHamiltonian
 from chargeplane.potential import R2_EXP_POTENTIAL, PotentialModel
+from chargeplane.reference import DEFAULT_CHANNEL, run_table
 from chargeplane.resonance import (
     CrossingCandidate,
     auto_search,
@@ -65,6 +73,7 @@ class TestRefineResonance:
         assert first.converged
         second = refine_resonance(first.energy, 0.0, cfg, R2_EXP_POTENTIAL)
         assert second.converged
+        assert second.iterations >= 1  # a real re-solve, not an echo of the guess
         assert abs(second.energy - first.energy) < 1e-12
 
     def test_known_sharp_pole(self):
@@ -79,6 +88,67 @@ class TestRefineResonance:
         cfg = _cfg(n=60)
         res = refine_resonance(500.0 - 200.0j, 0.0, cfg, R2_EXP_POTENTIAL)
         assert isinstance(res.converged, bool)
+
+    @pytest.mark.parametrize("guess", [complex(np.nan, 0.0), complex(3.4, np.inf)])
+    def test_nonfinite_guess_raises_without_warnings(self, guess):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolverError):
+                refine_resonance(guess, 0.0, _cfg(n=20), R2_EXP_POTENTIAL)
+            with pytest.raises(EigensolverError):
+                RotatedHamiltonian(_cfg(n=20), R2_EXP_POTENTIAL).matrix(guess)
+
+
+def _table1_poles():
+    return [(r.z, r.l, complex(r.computed_e_r, -r.computed_gamma / 2)) for r in run_table("table1")]
+
+
+def _criterion_2_poles():
+    cfg = ChannelConfig(l=0, **DEFAULT_CHANNEL)
+    guesses = {-8.0: 1.287274955 - 2.971759279j, -4.0: 3.125581370 - 3.023378045j,
+               9.0: 9.733679948 - 2.988524088j}
+    return [(z, 0, refine_resonance(e, z, cfg, R2_EXP_POTENTIAL).energy)
+            for z, e in guesses.items()]
+
+
+class TestIndependentCrossCheck:
+    """Every refined pole, checked by two dense solvers the refinement does
+    not use: the charge spectrum at E, and the generalized eigenvalues of the
+    pencil (S - Z_t) + E*D."""
+
+    @pytest.mark.parametrize("poles", [_table1_poles, _criterion_2_poles])
+    def test_refined_poles_match_dense_spectra(self, poles):
+        for z, l, energy in poles():
+            ham = RotatedHamiltonian(ChannelConfig(l=l, **DEFAULT_CHANNEL), R2_EXP_POTENTIAL)
+            charges = np.linalg.eigvals(ham.matrix(energy))
+            assert np.abs(charges - z).min() <= 1e-9
+            shifted = ham.matrix(0.0) - z * np.eye(len(charges))
+            energies = scipy.linalg.eigvals(shifted, -ham.derivative)
+            assert np.abs(energies - energy).min() <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def sharp_pole():
+    return refine_resonance(3.4264 - 0.0128j, 0.0, _cfg(n=150), R2_EXP_POTENTIAL).energy
+
+
+class TestPoleInvariance:
+    # The reference pole is refined at (lambda, theta) = (20, 0.7). The drawn
+    # box lies well inside the exposure window theta > |arg E| / 2 ~ 0.002; at
+    # N = 150 the basis resolves the pole to ~1e-12 over it, while smaller
+    # theta under-resolves it at this N.
+    @settings(max_examples=50, deadline=None)
+    @given(
+        scale=st.floats(10.0, 40.0),
+        theta=st.floats(0.3, 1.0),
+        d_re=st.floats(-0.01, 0.01),
+        d_im=st.floats(-0.005, 0.005),
+    )
+    def test_pole_independent_of_scale_and_angle(self, sharp_pole, scale, theta, d_re, d_im):
+        cfg = ChannelConfig(l=0, n_basis=150, scale=scale, theta=theta)
+        res = refine_resonance(sharp_pole + complex(d_re, d_im), 0.0, cfg, R2_EXP_POTENTIAL)
+        assert res.converged
+        assert abs(res.energy - sharp_pole) <= 1e-8
 
 
 class TestStabilityScan:
