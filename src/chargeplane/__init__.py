@@ -3,20 +3,8 @@ of the complex-rotated charge operator in a Laguerre basis."""
 
 from .basis import ChannelConfig, QuadratureRule, build_j_matrix, gauss_rule
 from .eigensolver import EigenSet, eigen_decompose, eigenvalue_derivative
-from .errors import (
-    AmbiguousSelectionError,
-    ChargePlaneError,
-    ConfigError,
-    DegenerateEigenvectorError,
-    EigensolverError,
-)
-from .hamiltonian import (
-    RotatedHamiltonian,
-    energy_derivative_matrix,
-    full_matrix,
-    potential_matrix,
-    reference_matrix,
-)
+from .errors import ChargePlaneError, ConfigError, DegenerateEigenvectorError, EigensolverError
+from .hamiltonian import RotatedHamiltonian, potential_matrix
 from .potential import (
     GAUSSIAN_WELL_POTENTIAL,
     R2_EXP_POTENTIAL,
@@ -39,7 +27,6 @@ from .trajectory import EnergyGrid, Trajectory, match_step, sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousSelectionError",
     "ChannelConfig",
     "ChargePlaneError",
     "ConfigError",
@@ -62,14 +49,11 @@ __all__ = [
     "detect_crossings",
     "eigen_decompose",
     "eigenvalue_derivative",
-    "energy_derivative_matrix",
     "eval_potential",
-    "full_matrix",
     "gauss_rule",
     "match_step",
     "parse_potential",
     "potential_matrix",
-    "reference_matrix",
     "refine_resonance",
     "stability_scan",
     "sweep",

@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Subcommands: eigs, sweep, find, scan, stability, table. Physics parameters
-come from the YAML config (--config); flags cover only output paths, thread
-count and plot emission. Exit codes: 0 success, 1 physics tolerance failure,
-2 configuration error, 3 solver failure.
+come from the YAML config (--config); flags cover only the output path, the
+sweep thread count (--threads, on sweep and scan) and plot emission (--svg,
+on sweep). Exit codes: 0 success, 1 physics tolerance failure, 2
+configuration error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -163,8 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", default=None, help="output directory (default: stdout)")
-        p.add_argument("--threads", type=int, default=1, help="parallelism for sweeps")
-        p.add_argument("--svg", action="store_true", help="also emit an SVG plot")
+        if name in ("sweep", "scan"):
+            p.add_argument("--threads", type=int, default=1, help="parallelism for sweeps")
+        if name == "sweep":
+            p.add_argument("--svg", action="store_true", help="also emit an SVG plot")
     return parser
 
 

@@ -82,8 +82,7 @@ def eigenvalue_derivative(mat_prime: np.ndarray, x: np.ndarray) -> complex:
     For M(t) complex symmetric with right eigenvector x, dz/dt equals
     (x.T @ M'(t) @ x) / (x.T @ x) -- the bilinear, non-conjugated form.
     Raises DegenerateEigenvectorError when x.T @ x is quasi-null (near an
-    eigenvalue degeneracy), in which case a finite-difference fallback is
-    appropriate.
+    eigenvalue degeneracy), where the formula is undefined.
     """
     x = np.asarray(x, dtype=complex)
     norm_sq = np.vdot(x, x).real

@@ -18,11 +18,5 @@ class EigensolverError(ChargePlaneError):
 
 
 class DegenerateEigenvectorError(ChargePlaneError):
-    """Quasi-null bilinear norm x.T @ x; derivative formula unusable.
-
-    Callers should fall back to a finite-difference or secant step.
-    """
-
-
-class AmbiguousSelectionError(ChargePlaneError):
-    """Two eigenvalues equidistant from the target; selection is not well defined."""
+    """Quasi-null bilinear norm x.T @ x; the eigenvalue-derivative formula
+    is undefined there (near an eigenvalue degeneracy)."""

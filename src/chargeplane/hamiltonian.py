@@ -1,17 +1,23 @@
 """Assembly of the complex-rotated charge-operator matrix.
 
-The operator acting in the Laguerre basis is H = H0 + V where H0 is
-tridiagonal (nu = 2l + 1) and V is evaluated by Gauss quadrature. Rotation
-enters only through the single complex scale lambda' = lambda * exp(-i*theta);
-there is no coordinate-space rotation code path. The eigenvalues of the
-assembled matrix are the poles {Z_n} of the finite Green's function.
+The operator acting in the Laguerre basis is M(E) = S + E*D, with J the
+Laguerre J matrix (nu = 2l + 1) and lambda' = lambda * exp(-i*theta):
+
+  D = J / lambda'
+  S = -(lambda'/8) * |J| + V
+
+|J| is J with its off-diagonal sign flipped (J's diagonal is positive and its
+off-diagonal negative) and V is the potential matrix by Gauss quadrature.
+Rotation enters only through the single complex scale lambda'; there is no
+coordinate-space rotation code path. The eigenvalues of M(E) are the poles
+{Z_n} of the finite Green's function.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basis import ChannelConfig, QuadratureRule, gauss_rule
+from .basis import ChannelConfig, QuadratureRule, build_j_matrix, gauss_rule
 from .errors import ConfigError, EigensolverError
 from .potential import PotentialModel, eval_potential
 
@@ -20,22 +26,6 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     """Mirror the upper triangle so mat[n, m] == mat[m, n] exactly."""
     upper = np.triu(mat)
     return upper + np.triu(mat, 1).T
-
-
-def reference_matrix(cfg: ChannelConfig, energy: complex) -> np.ndarray:
-    """Tridiagonal matrix of the rotated reference operator at energy E.
-
-    With lambda' = lambda * exp(-i*theta):
-      diagonal      lambda' * (E/lambda'^2 - 1/8) * (2n + nu + 1)
-      off-diagonal -lambda' * (E/lambda'^2 + 1/8) * sqrt(n (n + nu))
-    """
-    lam = cfg.rotated_scale
-    nu = cfg.nu
-    n = np.arange(cfg.n_basis, dtype=float)
-    diag = lam * (energy / lam**2 - 0.125) * (2 * n + nu + 1)
-    k = np.arange(1, cfg.n_basis, dtype=float)
-    off = -lam * (energy / lam**2 + 0.125) * np.sqrt(k * (k + nu))
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def potential_matrix(
@@ -61,59 +51,22 @@ def potential_matrix(
     return _symmetrize(mat)
 
 
-def energy_derivative_matrix(cfg: ChannelConfig) -> np.ndarray:
-    """dH/dE: the J matrix scaled by 1/lambda'. Independent of E."""
-    lam = cfg.rotated_scale
-    nu = cfg.nu
-    n = np.arange(cfg.n_basis, dtype=float)
-    diag = (2 * n + nu + 1) / lam
-    k = np.arange(1, cfg.n_basis, dtype=float)
-    off = -np.sqrt(k * (k + nu)) / lam
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
-def full_matrix(
-    cfg: ChannelConfig,
-    model: PotentialModel,
-    rule: QuadratureRule,
-    energy: complex,
-) -> np.ndarray:
-    """Reference plus potential assembly at one energy."""
-    return reference_matrix(cfg, energy) + potential_matrix(cfg, model, rule)
-
-
 class RotatedHamiltonian:
-    """Caches the E-independent pieces of the assembly for energy sweeps.
+    """The one assembly of M(E) = S + E*D for a channel and potential.
 
-    The potential matrix and the two tridiagonal coefficient matrices are
-    computed once; matrix(E) then costs two scaled tridiagonal adds. All
-    cached arrays are immutable after construction and safe to share across
-    a parallel sweep.
+    S and D are computed once from the J matrix and the cached Gauss rule of
+    the channel; matrix(E) then costs one dense S + E*D. Both arrays are
+    immutable after construction and safe to share across a parallel sweep.
     """
 
-    def __init__(
-        self,
-        cfg: ChannelConfig,
-        model: PotentialModel,
-        rule: QuadratureRule | None = None,
-    ):
-        if rule is None:
-            rule = gauss_rule(cfg.quad_size, cfg.nu)
+    def __init__(self, cfg: ChannelConfig, model: PotentialModel):
         self.cfg = cfg
         self.model = model
-        self.rule = rule
         lam = cfg.rotated_scale
-        nu = cfg.nu
-        n = np.arange(cfg.n_basis, dtype=float)
-        k = np.arange(1, cfg.n_basis, dtype=float)
-        # H0(E) = E * J/lambda' - (lambda'/8) * K, with K the sign-flipped J.
-        self._dh_de = energy_derivative_matrix(cfg)
-        self._static = (
-            np.diag(-(lam / 8) * (2 * n + nu + 1))
-            + np.diag(-(lam / 8) * np.sqrt(k * (k + nu)), 1)
-            + np.diag(-(lam / 8) * np.sqrt(k * (k + nu)), -1)
-            + potential_matrix(cfg, model, rule)
-        )
+        j_mat = build_j_matrix(cfg.n_basis, cfg.nu)
+        rule = gauss_rule(cfg.quad_size, cfg.nu)
+        self._dh_de = j_mat / lam
+        self._static = -(lam / 8) * np.abs(j_mat) + potential_matrix(cfg, model, rule)
         self._dh_de.setflags(write=False)
         self._static.setflags(write=False)
 
@@ -124,5 +77,5 @@ class RotatedHamiltonian:
 
     @property
     def derivative(self) -> np.ndarray:
-        """dH/dE, shared read-only array."""
+        """D = dM/dE, shared read-only array."""
         return self._dh_de

@@ -15,6 +15,7 @@ from importlib import resources
 
 from .basis import ChannelConfig
 from .errors import ConfigError
+from .hamiltonian import RotatedHamiltonian
 from .potential import R2_EXP_POTENTIAL
 from .resonance import refine_resonance
 
@@ -70,6 +71,11 @@ def run_table(table: str, tolerance: float | None = None) -> list[TableRow]:
     and Gamma).
     """
     rows = load_reference_rows(table)
+    # One assembly per channel, shared by every row at that l.
+    hams = {
+        l: RotatedHamiltonian(ChannelConfig(l=l, **DEFAULT_CHANNEL), R2_EXP_POTENTIAL)
+        for l in {row["l"] for row in rows}
+    }
     results = []
     for row in rows:
         e_r = float(row["e_r"])
@@ -81,11 +87,11 @@ def run_table(table: str, tolerance: float | None = None) -> list[TableRow]:
         else:
             tol_e = last_digit_tolerance(row["e_r"])
             tol_g = last_digit_tolerance(row["gamma"])
-        cfg = ChannelConfig(l=row["l"], **DEFAULT_CHANNEL)
+        ham = hams[row["l"]]
         # Coarse guess: 2 decimals in E_r, 2 significant digits in Gamma, so
         # the comparison is a real recomputation rather than an echo.
         guess = round(e_r, 2) - 0.5j * float(f"{gamma:.2g}")
-        res = refine_resonance(guess, float(row["z"]), cfg, R2_EXP_POTENTIAL)
+        res = refine_resonance(guess, float(row["z"]), ham.cfg, R2_EXP_POTENTIAL, ham=ham)
         results.append(
             TableRow(
                 z=float(row["z"]),

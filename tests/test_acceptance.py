@@ -9,8 +9,8 @@ from scipy import integrate, special
 
 from chargeplane.basis import ChannelConfig, build_j_matrix, gauss_rule
 from chargeplane.eigensolver import eigen_decompose, eigenvalue_derivative
-from chargeplane.hamiltonian import RotatedHamiltonian, potential_matrix, reference_matrix
-from chargeplane.potential import GAUSSIAN_WELL_POTENTIAL, R2_EXP_POTENTIAL
+from chargeplane.hamiltonian import RotatedHamiltonian, potential_matrix
+from chargeplane.potential import GAUSSIAN_WELL_POTENTIAL, R2_EXP_POTENTIAL, PotentialModel
 from chargeplane.reference import run_table
 from chargeplane.resonance import refine_resonance, stability_scan
 from chargeplane.trajectory import EnergyGrid, sweep
@@ -97,7 +97,7 @@ def test_criterion_6_pure_coulomb_exactness():
         for energy in (-0.5, -0.125):
             kappa = np.sqrt(-2.0 * energy)
             cfg = ChannelConfig(l=l, n_basis=100, scale=2 * kappa, theta=0.0, quad_size=100)
-            mat = reference_matrix(cfg, energy)
+            mat = RotatedHamiltonian(cfg, PotentialModel()).matrix(energy)
             off = mat - np.diag(np.diag(mat))
             exact = -kappa * (np.arange(100) + l + 1)
             worst = max(

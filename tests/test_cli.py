@@ -141,6 +141,13 @@ class TestExitCodes:
         assert main(["eigs", "--config", cfg]) == 3
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--svg"]])
+    def test_flag_rejected_where_unused(self, tmp_path, flag):
+        cfg = _write_cfg(tmp_path, FIND)
+        with pytest.raises(SystemExit) as exc:
+            main(["find", "--config", cfg, *flag])
+        assert exc.value.code == 2
+
     def test_table_tolerance_failure(self, tmp_path, capsys):
         data = {
             "channel": {"l": 0, "n_basis": 200, "scale": 20.0, "theta": 0.7},

@@ -9,7 +9,6 @@ from chargeplane import (
     RotatedHamiltonian,
     eigen_decompose,
     eigenvalue_derivative,
-    reference_matrix,
 )
 
 
@@ -36,7 +35,7 @@ class TestDecompose:
 
     def test_hydrogen_spectrum(self):
         cfg = ChannelConfig(l=0, n_basis=20, scale=2.0, theta=0.0)
-        es = eigen_decompose(reference_matrix(cfg, -0.5))
+        es = eigen_decompose(RotatedHamiltonian(cfg, PotentialModel()).matrix(-0.5))
         assert np.allclose(es.values, -np.arange(20, 0, -1), atol=1e-12)
 
     def test_sorted_and_residuals(self):

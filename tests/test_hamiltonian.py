@@ -7,20 +7,30 @@ from chargeplane import (
     PotentialModel,
     R2_EXP_POTENTIAL,
     RotatedHamiltonian,
-    energy_derivative_matrix,
-    full_matrix,
+    build_j_matrix,
     gauss_rule,
     potential_matrix,
-    reference_matrix,
 )
 
 ZERO_POTENTIAL = PotentialModel()
 
 
+def closed_form_reference(cfg, energy):
+    """Independent oracle for the rotated reference operator at E:
+    diagonal lambda' (E/lambda'^2 - 1/8)(2n + nu + 1), off-diagonal
+    -lambda' (E/lambda'^2 + 1/8) sqrt(k (k + nu))."""
+    lam, nu = cfg.rotated_scale, cfg.nu
+    n = np.arange(cfg.n_basis, dtype=float)
+    k = np.arange(1, cfg.n_basis, dtype=float)
+    diag = lam * (energy / lam**2 - 0.125) * (2 * n + nu + 1)
+    off = -lam * (energy / lam**2 + 0.125) * np.sqrt(k * (k + nu))
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 class TestReferenceMatrix:
     def test_hand_substitution(self):
         cfg = ChannelConfig(l=0, n_basis=3, scale=2.0, theta=0.0)
-        mat = reference_matrix(cfg, -0.5)
+        mat = RotatedHamiltonian(cfg, ZERO_POTENTIAL).matrix(-0.5)
         # lam=2, E/lam^2 = -1/8: diagonal 2*(-1/4)*(2n+2), off-diagonal 0
         assert mat[0, 0] == pytest.approx(-1.0)
         assert mat[0, 1] == pytest.approx(0.0, abs=1e-15)
@@ -29,7 +39,9 @@ class TestReferenceMatrix:
         cfg0 = ChannelConfig(l=1, n_basis=8, scale=3.0, theta=0.0)
         cfg1 = ChannelConfig(l=1, n_basis=8, scale=3.0, theta=0.4)
         assert np.allclose(
-            reference_matrix(cfg1, 0.0), np.exp(-0.4j) * reference_matrix(cfg0, 0.0), atol=1e-14
+            RotatedHamiltonian(cfg1, ZERO_POTENTIAL).matrix(0.0),
+            np.exp(-0.4j) * RotatedHamiltonian(cfg0, ZERO_POTENTIAL).matrix(0.0),
+            atol=1e-14,
         )
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
@@ -39,7 +51,7 @@ class TestReferenceMatrix:
         # hydrogen charges -sqrt(-2E) (n + l + 1) at any finite N
         kappa = np.sqrt(-2 * energy)
         cfg = ChannelConfig(l=l, n_basis=100, scale=2 * kappa, theta=0.0)
-        mat = reference_matrix(cfg, energy)
+        mat = RotatedHamiltonian(cfg, ZERO_POTENTIAL).matrix(energy)
         off = mat - np.diag(np.diag(mat))
         assert np.abs(off).max() <= 1e-13
         n = np.arange(100)
@@ -109,25 +121,25 @@ class TestPotentialMatrix:
 
 class TestFullMatrix:
     def test_reduces_to_reference(self):
+        # with V = 0 the operator is exactly tridiagonal and is the reference
         cfg = ChannelConfig(l=0, n_basis=10, scale=2.0, theta=0.2)
-        rule = gauss_rule(10, 1)
         e = 1.0 - 0.5j
-        assert np.array_equal(
-            full_matrix(cfg, ZERO_POTENTIAL, rule, e), reference_matrix(cfg, e)
-        )
+        mat = RotatedHamiltonian(cfg, ZERO_POTENTIAL).matrix(e)
+        assert np.array_equal(mat, np.triu(np.tril(mat, 1), -1))
+        direct = closed_form_reference(cfg, e)
+        assert np.abs(mat - direct).max() <= 1e-12 * max(1, np.abs(direct).max())
 
     def test_symmetry_rotated(self):
         cfg = ChannelConfig(l=0, n_basis=50, scale=20.0, theta=0.7)
-        rule = gauss_rule(50, 1)
-        mat = full_matrix(cfg, R2_EXP_POTENTIAL, rule, 3.0 - 0.01j)
+        mat = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL).matrix(3.0 - 0.01j)
         assert np.array_equal(mat, mat.T)
 
     def test_additivity(self):
         cfg = ChannelConfig(l=0, n_basis=6, scale=2.0, theta=0.1)
         rule = gauss_rule(6, 1)
         e = 0.7 - 0.2j
-        assert full_matrix(cfg, R2_EXP_POTENTIAL, rule, e)[0, 0] == pytest.approx(
-            reference_matrix(cfg, e)[0, 0]
+        assert RotatedHamiltonian(cfg, R2_EXP_POTENTIAL).matrix(e)[0, 0] == pytest.approx(
+            RotatedHamiltonian(cfg, ZERO_POTENTIAL).matrix(e)[0, 0]
             + potential_matrix(cfg, R2_EXP_POTENTIAL, rule)[0, 0]
         )
 
@@ -135,17 +147,14 @@ class TestFullMatrix:
 class TestEnergyDerivative:
     def test_one_by_one(self):
         cfg = ChannelConfig(l=0, n_basis=1, scale=1.0, theta=0.0)
-        assert energy_derivative_matrix(cfg)[0, 0] == pytest.approx(2.0)
+        assert RotatedHamiltonian(cfg, ZERO_POTENTIAL).derivative[0, 0] == pytest.approx(2.0)
 
     def test_finite_difference(self):
         cfg = ChannelConfig(l=2, n_basis=20, scale=7.0, theta=0.4)
-        rule = gauss_rule(20, cfg.nu)
+        ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
         e, h = 1.5 - 0.3j, 1e-6
-        fd = (
-            full_matrix(cfg, R2_EXP_POTENTIAL, rule, e + h)
-            - full_matrix(cfg, R2_EXP_POTENTIAL, rule, e - h)
-        ) / (2 * h)
-        ref = energy_derivative_matrix(cfg)
+        fd = (ham.matrix(e + h) - ham.matrix(e - h)) / (2 * h)
+        ref = ham.derivative
         scale = np.abs(ref).max()
         assert np.abs(fd - ref).max() <= 1e-8 * scale
 
@@ -153,8 +162,8 @@ class TestEnergyDerivative:
         cfg0 = ChannelConfig(l=0, n_basis=8, scale=3.0, theta=0.0)
         cfg1 = ChannelConfig(l=0, n_basis=8, scale=3.0, theta=0.6)
         assert np.allclose(
-            energy_derivative_matrix(cfg1),
-            np.exp(0.6j) * energy_derivative_matrix(cfg0),
+            RotatedHamiltonian(cfg1, ZERO_POTENTIAL).derivative,
+            np.exp(0.6j) * RotatedHamiltonian(cfg0, ZERO_POTENTIAL).derivative,
             atol=1e-15,
         )
 
@@ -163,14 +172,14 @@ class TestRotatedHamiltonian:
     def test_matches_direct_assembly(self):
         cfg = ChannelConfig(l=1, n_basis=30, scale=10.0, theta=0.5)
         rule = gauss_rule(30, cfg.nu)
-        ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL, rule)
+        ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
         for e in (0.0, 2.5 - 1.0j, -0.5):
-            direct = full_matrix(cfg, R2_EXP_POTENTIAL, rule, e)
+            direct = closed_form_reference(cfg, e) + potential_matrix(cfg, R2_EXP_POTENTIAL, rule)
             assert np.abs(ham.matrix(e) - direct).max() <= 1e-12 * max(1, np.abs(direct).max())
 
     def test_derivative_shared(self):
         cfg = ChannelConfig(l=0, n_basis=10, scale=2.0, theta=0.3)
         ham = RotatedHamiltonian(cfg, ZERO_POTENTIAL)
-        assert np.array_equal(ham.derivative, energy_derivative_matrix(cfg))
+        assert np.array_equal(ham.derivative, build_j_matrix(10, cfg.nu) / cfg.rotated_scale)
         with pytest.raises(ValueError):
             ham.derivative[0, 0] = 0.0

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargeplane import reference, resonance
 from chargeplane.basis import ChannelConfig
 from chargeplane.errors import EigensolverError
 from chargeplane.hamiltonian import RotatedHamiltonian
@@ -101,6 +102,22 @@ class TestRefineResonance:
 
 def _table1_poles():
     return [(r.z, r.l, complex(r.computed_e_r, -r.computed_gamma / 2)) for r in run_table("table1")]
+
+
+class TestRunTable:
+    @pytest.mark.parametrize("table", ["table1", "table2_spot"])
+    def test_one_assembly_per_channel(self, monkeypatch, table):
+        built = []
+
+        def counting(cfg, model):
+            built.append(cfg.l)
+            return RotatedHamiltonian(cfg, model)
+
+        monkeypatch.setattr(reference, "RotatedHamiltonian", counting, raising=False)
+        monkeypatch.setattr(resonance, "RotatedHamiltonian", counting)
+        rows = run_table(table)
+        assert all(r.ok for r in rows)
+        assert sorted(built) == sorted({r.l for r in rows})
 
 
 def _criterion_2_poles():
