@@ -2,7 +2,7 @@
 of the complex-rotated charge operator in a Laguerre basis."""
 
 from .basis import ChannelConfig, QuadratureRule, build_j_matrix, gauss_rule
-from .eigensolver import EigenSet, eigen_decompose, eigenvalue_derivative
+from .eigensolver import EigenSet, eigen_decompose, eigenvalue_derivative, eigenvalues
 from .errors import ChargePlaneError, ConfigError, DegenerateEigenvectorError, EigensolverError
 from .hamiltonian import RotatedHamiltonian, potential_matrix
 from .potential import (
@@ -49,6 +49,7 @@ __all__ = [
     "detect_crossings",
     "eigen_decompose",
     "eigenvalue_derivative",
+    "eigenvalues",
     "eval_potential",
     "gauss_rule",
     "match_step",

@@ -10,6 +10,7 @@ configuration error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from .output import (
     trajectories_to_svg,
 )
 from .reference import format_table, run_table
-from .resonance import auto_search, refine_resonance, stability_scan
+from .resonance import auto_search, outside_exposure_window, refine_resonance, stability_scan
 from .trajectory import sweep
 
 EXIT_OK = 0
@@ -48,6 +49,18 @@ def _require(value, what: str):
     if value is None:
         raise ConfigError(f"this command requires {what} in the config")
     return value
+
+
+def _warn_unexposed(results, theta: float):
+    """One stderr line per converged pole outside the exposure window."""
+    for res in results:
+        if res.converged and outside_exposure_window(res.energy, theta):
+            print(
+                f"warning: pole E = {res.energy:.6g} (Z = {res.z_target:g}) has "
+                f"|arg E| = {abs(cmath.phase(res.energy)):.3f} >= 2 theta = {2 * theta:.3g}, "
+                "outside the exposure window: a discretization artifact, not a resonance",
+                file=sys.stderr,
+            )
 
 
 def cmd_eigs(cfg: RunConfig, args) -> int:
@@ -77,6 +90,7 @@ def cmd_find(cfg: RunConfig, args) -> int:
     ]
     results.sort(key=lambda r: (r.z_target, r.e_r))
     _write(args.out, "resonances.json", resonances_to_json(results))
+    _warn_unexposed(results, cfg.channel.theta)
     return EXIT_OK
 
 
@@ -115,14 +129,16 @@ def cmd_stability(cfg: RunConfig, args) -> int:
         results.append(res)
     results.sort(key=lambda r: (r.z_target, r.e_r))
     _write(args.out, "resonances.json", resonances_to_json(results))
+    _warn_unexposed(results, cfg.channel.theta)
     return EXIT_OK
 
 
 def cmd_table(cfg: RunConfig, args) -> int:
     status = EXIT_OK
     chunks = []
+    hams = {}  # one assembly per l, shared by all tables
     for table in cfg.table.tables:
-        rows = run_table(table, tolerance=cfg.table.tolerance)
+        rows = run_table(table, tolerance=cfg.table.tolerance, hams=hams)
         chunks.append(f"== {table} ==\n" + format_table(rows))
         failing = [r for r in rows if not r.ok]
         if failing:

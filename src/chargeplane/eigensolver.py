@@ -1,9 +1,17 @@
-"""Dense complex eigendecomposition and first-order eigenvalue derivatives.
+"""Dense complex eigensolves and first-order eigenvalue derivatives.
 
 The assembled matrices are complex symmetric (not Hermitian), so the full
 non-symmetric LAPACK path (balance, Hessenberg, shifted QR) is used for the
 decomposition; the symmetric structure is exploited only in the derivative
 formula, where left eigenvectors are transposes of right ones.
+
+Two solvers share one ordering. `eigen_decompose` returns eigenvectors and
+checks each eigenpair's residual, an O(N^3) matmul. `eigenvalues` returns the
+values alone and checks only that they sum to the trace, an O(N^2) check;
+trajectory sweeps use it because they need no eigenvectors. The two run
+different LAPACK routines, so their values differ by up to about an
+eigenvalue's condition number times the rounding error in M: in the last
+digits for well-conditioned charges, more for ill-conditioned large-|Z| ones.
 """
 
 from __future__ import annotations
@@ -11,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DegenerateEigenvectorError, EigensolverError
 
 RESIDUAL_BOUND = 1e-10
+TRACE_BOUND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -34,6 +44,52 @@ class EigenSet:
         return len(self.values)
 
 
+def _checked_square(mat) -> np.ndarray:
+    mat = np.asarray(mat, dtype=complex)
+    n = mat.shape[0]
+    if mat.shape != (n, n) or n < 1:
+        raise EigensolverError(f"expected a square matrix of order >= 1, got {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise EigensolverError("matrix contains non-finite entries", order=n)
+    return mat
+
+
+def _sorted_order(values: np.ndarray) -> np.ndarray:
+    """Deterministic (Re, Im) ascending order shared by both solvers."""
+    return np.lexsort((values.imag, values.real))
+
+
+def eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a dense complex matrix, without eigenvectors.
+
+    Sorted like EigenSet.values. The matrix is overwritten, so pass one the
+    caller no longer needs (as sweeps do with a fresh M(E)). Raises
+    EigensolverError on LAPACK non-convergence, on non-finite values, or
+    when |sum(z) - tr M| exceeds TRACE_BOUND * ||M||_F, the O(N^2) check
+    that stands in for eigen_decompose's per-eigenpair residuals.
+    """
+    mat = _checked_square(mat)
+    n = mat.shape[0]
+    trace = complex(np.trace(mat))
+    scale = float(np.linalg.norm(mat, "fro"))
+    try:
+        values = scipy.linalg.eigvals(mat, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"QR iteration failed at order {n}: {exc}", order=n) from exc
+    if not np.all(np.isfinite(values)):
+        raise EigensolverError(f"non-finite eigenvalues at order {n}", order=n)
+    misfit = abs(complex(values.sum()) - trace)
+    if misfit > TRACE_BOUND * scale:
+        raise EigensolverError(
+            f"trace check violated at order {n}: |sum(z) - tr M| = "
+            f"{misfit / scale:.3e} x ||M||_F",
+            order=n,
+        )
+    values = values[_sorted_order(values)]
+    values.setflags(write=False)
+    return values
+
+
 def eigen_decompose(mat: np.ndarray) -> EigenSet:
     """Eigenvalues and right eigenvectors of a dense complex matrix.
 
@@ -41,18 +97,14 @@ def eigen_decompose(mat: np.ndarray) -> EigenSet:
     reproducible bit-for-bit. Raises EigensolverError on LAPACK
     non-convergence or when the residual contract is violated.
     """
-    mat = np.asarray(mat, dtype=complex)
+    mat = _checked_square(mat)
     n = mat.shape[0]
-    if mat.shape != (n, n) or n < 1:
-        raise EigensolverError(f"expected a square matrix of order >= 1, got {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise EigensolverError("matrix contains non-finite entries", order=n)
     try:
         values, vectors = np.linalg.eig(mat)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"QR iteration failed at order {n}: {exc}", order=n) from exc
 
-    order = np.lexsort((values.imag, values.real))
+    order = _sorted_order(values)
     values = values[order]
     vectors = vectors[:, order]
 

@@ -64,18 +64,23 @@ class TableRow:
         )
 
 
-def run_table(table: str, tolerance: float | None = None) -> list[TableRow]:
+def run_table(
+    table: str,
+    tolerance: float | None = None,
+    hams: dict[int, RotatedHamiltonian] | None = None,
+) -> list[TableRow]:
     """Recompute every row of a built-in table and compare.
 
     tolerance overrides the per-row default (absolute, applied to both E_r
-    and Gamma).
+    and Gamma). `hams` maps l to the channel's RotatedHamiltonian; a missing
+    channel is assembled once and added to it, so callers that pass the same
+    dict to several tables assemble each channel once.
     """
     rows = load_reference_rows(table)
-    # One assembly per channel, shared by every row at that l.
-    hams = {
-        l: RotatedHamiltonian(ChannelConfig(l=l, **DEFAULT_CHANNEL), R2_EXP_POTENTIAL)
-        for l in {row["l"] for row in rows}
-    }
+    if hams is None:
+        hams = {}
+    for l in sorted({row["l"] for row in rows} - hams.keys()):
+        hams[l] = RotatedHamiltonian(ChannelConfig(l=l, **DEFAULT_CHANNEL), R2_EXP_POTENTIAL)
     results = []
     for row in rows:
         e_r = float(row["e_r"])

@@ -74,6 +74,17 @@ class Resonance:
         return -2.0 * self.energy.imag
 
 
+def outside_exposure_window(energy: complex, theta: float) -> bool:
+    """True for a resonance-like pole (Re E > 0, Im E < 0) with |arg E| >= 2 theta.
+
+    Rotation by theta exposes only poles with theta > |arg E| / 2, so a pole
+    beyond that converges as a discretization artifact, not a resonance.
+    Poles with Re E <= 0 are not judged: a bound state's Im E is zero up to
+    discretization noise of either sign, which would put it at |arg E| = pi.
+    """
+    return energy.real > 0 and energy.imag < 0 and abs(np.angle(energy)) >= 2 * theta
+
+
 def detect_crossings(
     trajectories: list[Trajectory],
     z_targets,

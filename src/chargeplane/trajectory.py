@@ -2,9 +2,10 @@
 
 Each energy sample yields N eigenvalues whose ordering is solver-dependent,
 so consecutive samples are stitched into continuous branches by greedy
-nearest-pair matching. Eigensolves are independent per sample (phase 1);
-matching is sequential over the ordered grid (phase 2), so the result is
-identical at any degree of parallelism.
+nearest-pair matching. Eigensolves are independent per sample (phase 1) and
+values-only (`eigensolver.eigenvalues`, checked by the trace sum, no
+eigenvectors); matching is sequential over the ordered grid (phase 2), so
+the result is identical at any degree of parallelism.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import ChannelConfig
-from .eigensolver import eigen_decompose
+from .eigensolver import eigenvalues
 from .errors import ChargePlaneError, EigensolverError
 from .hamiltonian import RotatedHamiltonian
 from .potential import PotentialModel
@@ -31,6 +32,11 @@ class EnergyGrid:
     im_part: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.re_start, self.re_end, self.im_part])):
+            raise ChargePlaneError(
+                f"grid bounds must be finite, got re [{self.re_start}, {self.re_end}], "
+                f"im {self.im_part}"
+            )
         if self.steps < 2:
             raise ChargePlaneError(f"grid needs at least 2 steps, got {self.steps}")
         if not self.re_start < self.re_end:
@@ -60,32 +66,41 @@ class Trajectory:
 def match_step(prev, nxt, threshold: float | None = None):
     """Greedy minimum-distance assignment between two eigenvalue sets.
 
-    Repeatedly pairs the globally closest unmatched (prev, next) eigenvalues.
-    Returns (perm, flagged) where perm[i] is the index in nxt matched to
-    prev[i] and flagged lists prev-indices whose pair distance exceeds the
-    threshold (default 5x the median matched distance).
+    Repeatedly pairs the globally closest unmatched (prev, next) eigenvalues,
+    ties broken by the lower prev index, then the lower next index. Returns
+    (perm, flagged) where perm[i] is the index in nxt matched to prev[i] and
+    flagged lists prev-indices whose pair distance exceeds the threshold
+    (default 5x the median matched distance).
+
+    The greedy order is run in rounds: under the total order on keys
+    (distance, i, j), a pair that is the key-minimum of both its row and its
+    column among the unmatched ones is the pair greedy takes when it reaches
+    that key, so each round takes every such mutual minimum at once.
     """
     prev = np.asarray(prev, dtype=complex)
     nxt = np.asarray(nxt, dtype=complex)
     if prev.shape != nxt.shape:
         raise ChargePlaneError("match_step requires equal-length eigenvalue sets")
+    if not (np.all(np.isfinite(prev)) and np.all(np.isfinite(nxt))):
+        raise ChargePlaneError("match_step requires finite eigenvalues")
     n = len(prev)
     dist = np.abs(prev[:, None] - nxt[None, :])
-    order = np.argsort(dist, axis=None, kind="stable")
     perm = np.full(n, -1, dtype=int)
-    used = np.zeros(n, dtype=bool)
-    matched = 0
-    pair_dist = np.empty(n)
-    for flat in order:
-        i, j = divmod(int(flat), n)
-        if perm[i] >= 0 or used[j]:
-            continue
-        perm[i] = j
-        used[j] = True
-        pair_dist[i] = dist[i, j]
-        matched += 1
-        if matched == n:
-            break
+    rows = np.arange(n)
+    cols = np.arange(n)
+    sub = dist
+    while rows.size:
+        # argmin takes the first of equal distances: the lowest j in a row,
+        # the lowest i in a column, as the (distance, i, j) key order asks.
+        row_best = sub.argmin(axis=1)
+        col_best = sub.argmin(axis=0)
+        mutual = col_best[row_best] == np.arange(rows.size)
+        perm[rows[mutual]] = cols[row_best[mutual]]
+        free_cols = np.ones(cols.size, dtype=bool)
+        free_cols[row_best[mutual]] = False
+        rows, cols = rows[~mutual], cols[free_cols]
+        sub = sub[~mutual][:, free_cols]
+    pair_dist = dist[np.arange(n), perm]
     if threshold is None:
         med = float(np.median(pair_dist))
         threshold = 5 * med if med > 0 else np.inf
@@ -111,7 +126,7 @@ def sweep(
 
     def solve(e):
         try:
-            return eigen_decompose(ham.matrix(e)).values
+            return eigenvalues(ham.matrix(e))
         except EigensolverError as exc:
             raise EigensolverError(f"eigensolve failed at E = {e}: {exc}", exc.order) from exc
 

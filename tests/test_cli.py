@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import yaml
 
+from chargeplane import reference, resonance
 from chargeplane.cli import main
+from chargeplane.hamiltonian import RotatedHamiltonian
 
 HYDROGEN = {
     # V = 0 at lambda = 2 sqrt(-2E) diagonalizes exactly: Z_n = -(n+1) at E = -1/2
@@ -94,6 +96,23 @@ class TestFind:
         assert rec["e_r"] == pytest.approx(3.426390331, abs=1e-6)
         assert rec["gamma"] == pytest.approx(0.025549, abs=1e-5)
 
+    def test_sharp_resonance_is_not_warned(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, FIND)
+        assert main(["find", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_warns_outside_exposure_window(self, tmp_path, capsys):
+        # converges to 0.21996 - 3.24866i: |arg E| = 1.503 > 2 theta = 1.4
+        data = {**FIND, "scan": {"guess": {"re": 0.22, "im": -3.25}, "z_targets": [0.0]}}
+        cfg = _write_cfg(tmp_path, data)
+        assert main(["find", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "exposure window" in err and "1.503" in err
+        rec = json.loads((tmp_path / "res" / "resonances.json").read_text())[0]
+        assert rec["converged"] is True
+        assert rec["e_r"] == pytest.approx(0.21996, abs=1e-5)
+
     def test_requires_targets(self, tmp_path):
         data = {**FIND, "scan": {"guess": {"re": 3.4, "im": -0.01}}}
         cfg = _write_cfg(tmp_path, data)
@@ -101,7 +120,7 @@ class TestFind:
 
 
 class TestStability:
-    def test_report_in_json(self, tmp_path):
+    def test_report_in_json(self, tmp_path, capsys):
         data = dict(FIND)
         data["stability"] = {
             "lambda_values": [15.0, 20.0],
@@ -115,6 +134,18 @@ class TestStability:
         assert rec["stability"]["plateau"] is True
         assert rec["stability"]["max_deviation"] <= 1e-8
         assert len(rec["stability"]["grid"]) == 2
+        assert capsys.readouterr().err == ""
+
+    def test_warns_outside_exposure_window(self, tmp_path, capsys):
+        data = {
+            **FIND,
+            "scan": {"guess": {"re": 0.22, "im": -3.25}, "z_targets": [0.0]},
+            "stability": {"lambda_values": [20.0], "theta_values": [0.7], "n_values": [150]},
+        }
+        cfg = _write_cfg(tmp_path, data)
+        assert main(["stability", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exposure window" in err
 
 
 class TestExitCodes:
@@ -148,6 +179,13 @@ class TestExitCodes:
             main(["find", "--config", cfg, *flag])
         assert exc.value.code == 2
 
+    def test_nonfinite_grid_is_config_error(self, tmp_path, capsys):
+        data = {**SWEEP, "scan": {"grid": {**SWEEP["scan"]["grid"], "im_part": float("nan")}}}
+        cfg = _write_cfg(tmp_path, data)
+        assert ".nan" in (tmp_path / "run.yaml").read_text()
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "scan.grid" in capsys.readouterr().err
+
     def test_table_tolerance_failure(self, tmp_path, capsys):
         data = {
             "channel": {"l": 0, "n_basis": 200, "scale": 20.0, "theta": 0.7},
@@ -156,3 +194,22 @@ class TestExitCodes:
         cfg = _write_cfg(tmp_path, data)
         assert main(["table", "--config", cfg]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestTable:
+    def test_one_assembly_per_channel_across_tables(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting(cfg, model):
+            built.append(cfg.l)
+            return RotatedHamiltonian(cfg, model)
+
+        monkeypatch.setattr(reference, "RotatedHamiltonian", counting)
+        monkeypatch.setattr(resonance, "RotatedHamiltonian", counting)
+        data = {
+            "channel": {"l": 0, "n_basis": 200, "scale": 20.0, "theta": 0.7},
+            "table": {"tables": ["table1", "table2_spot"]},
+        }
+        cfg = _write_cfg(tmp_path, data)
+        assert main(["table", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+        assert sorted(built) == [0, 1, 2]

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chargeplane import (
     ChannelConfig,
@@ -9,6 +12,7 @@ from chargeplane import (
     RotatedHamiltonian,
     eigen_decompose,
     eigenvalue_derivative,
+    eigenvalues,
 )
 
 
@@ -85,6 +89,57 @@ class TestDecompose:
     def test_nonsquare_rejected(self):
         with pytest.raises(EigensolverError):
             eigen_decompose(np.zeros((2, 3), dtype=complex))
+
+
+class TestEigenvalues:
+    def test_matches_decomposition_in_order(self):
+        rng = np.random.default_rng(7)
+        mat = random_complex_symmetric(40, rng)
+        vals = eigenvalues(mat.copy())
+        assert not vals.flags.writeable
+        assert np.abs(vals - eigen_decompose(mat).values).max() <= 1e-10 * np.linalg.norm(mat)
+
+    def test_trace_check_failure_raises_without_warnings(self, monkeypatch):
+        true_eigvals = scipy.linalg.eigvals
+
+        def perturbed(mat, **kwargs):
+            vals = true_eigvals(mat, **kwargs)
+            vals[0] += 1e-6
+            return vals
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", perturbed)
+        mat = random_complex_symmetric(20, np.random.default_rng(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolverError, match="trace check"):
+                eigenvalues(mat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_output_raises(self, monkeypatch, bad):
+        def broken(mat, **kwargs):
+            vals = np.zeros(mat.shape[0], dtype=complex)
+            vals[-1] = bad
+            return vals
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolverError, match="non-finite eigenvalues"):
+                eigenvalues(np.eye(3, dtype=complex))
+
+    def test_lapack_failure_is_solver_error(self, monkeypatch):
+        def failing(mat, **kwargs):
+            raise np.linalg.LinAlgError("eig algorithm did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", failing)
+        with pytest.raises(EigensolverError, match="QR iteration failed"):
+            eigenvalues(np.eye(3, dtype=complex))
+
+    def test_nonfinite_and_nonsquare_input_rejected(self):
+        with pytest.raises(EigensolverError):
+            eigenvalues(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+        with pytest.raises(EigensolverError):
+            eigenvalues(np.zeros((2, 3), dtype=complex))
 
 
 class TestDerivative:

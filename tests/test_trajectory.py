@@ -2,13 +2,48 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeplane.basis import ChannelConfig
+from chargeplane.eigensolver import eigen_decompose
 from chargeplane.errors import ChargePlaneError
+from chargeplane.hamiltonian import RotatedHamiltonian
 from chargeplane.potential import GAUSSIAN_WELL_POTENTIAL, PotentialModel
 from chargeplane.trajectory import EnergyGrid, match_step, sweep
 
 EMPTY = PotentialModel(terms=())
+
+
+def greedy_reference(prev, nxt):
+    """Greedy matching as a loop over all pairs in stable-argsort order."""
+    prev = np.asarray(prev, dtype=complex)
+    nxt = np.asarray(nxt, dtype=complex)
+    n = len(prev)
+    dist = np.abs(prev[:, None] - nxt[None, :])
+    perm = np.full(n, -1, dtype=int)
+    used = np.zeros(n, dtype=bool)
+    pair_dist = np.empty(n)
+    for flat in np.argsort(dist, axis=None, kind="stable"):
+        i, j = divmod(int(flat), n)
+        if perm[i] >= 0 or used[j]:
+            continue
+        perm[i] = j
+        used[j] = True
+        pair_dist[i] = dist[i, j]
+    med = float(np.median(pair_dist))
+    threshold = 5 * med if med > 0 else np.inf
+    return perm, tuple(int(i) for i in np.nonzero(pair_dist > threshold)[0])
+
+
+# Small-integer grids make many pair distances equal, so tie-breaking decides.
+grid_points = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+equal_length_sets = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.lists(grid_points, min_size=n, max_size=n),
+        st.lists(grid_points, min_size=n, max_size=n),
+    )
+)
 
 
 class TestEnergyGrid:
@@ -17,6 +52,14 @@ class TestEnergyGrid:
         assert grid.energies() == pytest.approx(
             np.array([0.0 - 0.5j, 0.5 - 0.5j, 1.0 - 0.5j])
         )
+
+    @pytest.mark.parametrize("field", ["re_start", "re_end", "im_part"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_bounds(self, field, bad):
+        bounds = dict(re_start=0.0, re_end=1.0, im_part=-0.5)
+        bounds[field] = bad
+        with pytest.raises(ChargePlaneError, match="finite"):
+            EnergyGrid(steps=3, **bounds)
 
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ChargePlaneError):
@@ -53,6 +96,43 @@ class TestMatchStep:
         with pytest.raises(ChargePlaneError):
             match_step([1.0, 2.0], [1.0])
 
+    def test_rejects_nonfinite_values(self):
+        with pytest.raises(ChargePlaneError):
+            match_step([1.0, np.nan], [1.0, 2.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(equal_length_sets)
+    def test_equals_greedy_reference_on_tie_heavy_sets(self, sets):
+        prev, nxt = sets
+        perm, flagged = match_step(prev, nxt)
+        ref_perm, ref_flagged = greedy_reference(prev, nxt)
+        assert np.array_equal(perm, ref_perm)
+        assert flagged == ref_flagged
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(1e-3, 10.0))
+    def test_equals_greedy_reference_on_drifting_sets(self, n, seed, step):
+        rng = np.random.default_rng(seed)
+        prev = rng.normal(size=n) + 1j * rng.normal(size=n)
+        nxt = rng.permutation(prev + step * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+        perm, flagged = match_step(prev, nxt)
+        ref_perm, ref_flagged = greedy_reference(prev, nxt)
+        assert np.array_equal(perm, ref_perm)
+        assert flagged == ref_flagged
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_equivariant_under_permuting_next(self, n, seed):
+        # generic values, so no two pair distances tie and the matching is unique
+        rng = np.random.default_rng(seed)
+        prev = rng.normal(size=n) + 1j * rng.normal(size=n)
+        nxt = prev + 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        shuffle = rng.permutation(n)
+        perm, flagged = match_step(prev, nxt)
+        perm_shuffled, flagged_shuffled = match_step(prev, nxt[shuffle])
+        assert np.array_equal(shuffle[perm_shuffled], perm)
+        assert flagged_shuffled == flagged
+
 
 class TestSweep:
     def test_pure_coulomb_branches_follow_exact_formula(self):
@@ -84,6 +164,17 @@ class TestSweep:
             im = t.z_values.imag
             crossings += int(np.count_nonzero(im[:-1] * im[1:] < 0))
         assert crossings == 0
+
+    def test_values_match_eigen_decompose(self):
+        cfg = ChannelConfig(l=0, n_basis=40, scale=20.0, theta=0.7, quad_size=40)
+        grid = EnergyGrid(re_start=1.0, re_end=5.0, steps=6, im_part=-0.5)
+        ham = RotatedHamiltonian(cfg, GAUSSIAN_WELL_POTENTIAL)
+        trajs = sweep(cfg, GAUSSIAN_WELL_POTENTIAL, grid, ham=ham)
+        for k, e in enumerate(grid.energies()):
+            mat = ham.matrix(e)
+            swept = np.sort_complex(np.array([t.z_values[k] for t in trajs]))
+            full = np.sort_complex(eigen_decompose(mat).values)
+            assert np.abs(swept - full).max() <= 1e-10 * np.linalg.norm(mat, "fro")
 
     def test_parallel_matches_serial_exactly(self):
         cfg = ChannelConfig(l=0, n_basis=40, scale=20.0, theta=0.7, quad_size=40)
