@@ -14,11 +14,10 @@ from .potential import (
     parse_potential,
 )
 from .resonance import (
-    CrossingCandidate,
     Resonance,
     StabilityReport,
     auto_search,
-    detect_crossings,
+    poles,
     refine_resonance,
     stability_scan,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "ChannelConfig",
     "ChargePlaneError",
     "ConfigError",
-    "CrossingCandidate",
     "DegenerateEigenvectorError",
     "EigenSet",
     "EigensolverError",
@@ -46,7 +44,6 @@ __all__ = [
     "Trajectory",
     "auto_search",
     "build_j_matrix",
-    "detect_crossings",
     "eigen_decompose",
     "eigenvalue_derivative",
     "eigenvalues",
@@ -54,6 +51,7 @@ __all__ = [
     "gauss_rule",
     "match_step",
     "parse_potential",
+    "poles",
     "potential_matrix",
     "refine_resonance",
     "stability_scan",

@@ -2,9 +2,11 @@
 
 Subcommands: eigs, sweep, find, scan, stability, table. Physics parameters
 come from the YAML config (--config); flags cover only the output path, the
-sweep thread count (--threads, on sweep and scan) and plot emission (--svg,
-on sweep). Exit codes: 0 success, 1 physics tolerance failure, 2
-configuration error, 3 solver failure.
+sweep thread count (--threads) and plot emission (--svg), the last two on
+sweep only. scan lists the poles of each target charge from one pencil
+solve (`resonance.poles`) and refines and stability-checks them; sweep
+traces the charge trajectories that picture them. Exit codes: 0 success,
+1 physics tolerance failure, 2 configuration error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -102,9 +104,6 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         cfg.scan.z_targets,
         im_schedule=cfg.scan.im_schedule,
         re_range=(grid.re_start, grid.re_end),
-        steps=grid.steps,
-        window=cfg.scan.window,
-        threads=args.threads,
     )
     _write(args.out, "resonances.json", resonances_to_json(results))
     return EXIT_OK
@@ -173,16 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("eigs", "eigenvalue listing at a single energy"),
         ("sweep", "trajectory CSV (and optional SVG) over an energy grid"),
         ("find", "refine a resonance from a guess"),
-        ("scan", "automated search over an Im-E schedule"),
+        ("scan", "refine and stability-check every pole in the scan box"),
         ("stability", "refine then verify a stability plateau"),
         ("table", "reproduce the built-in benchmark tables"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", default=None, help="output directory (default: stdout)")
-        if name in ("sweep", "scan"):
-            p.add_argument("--threads", type=int, default=1, help="parallelism for sweeps")
         if name == "sweep":
+            p.add_argument("--threads", type=int, default=1, help="parallelism for sweeps")
             p.add_argument("--svg", action="store_true", help="also emit an SVG plot")
     return parser
 

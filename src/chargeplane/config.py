@@ -7,6 +7,7 @@ Unknown keys are rejected everywhere so a typo cannot silently change a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -42,8 +43,8 @@ class ScanConfig:
     grid: EnergyGrid | None = None
     guess: complex | None = None
     z_targets: tuple[float, ...] = ()
-    im_schedule: tuple[float, ...] = DEFAULT_IM_SCHEDULE
-    window: float = 0.5
+    im_schedule: tuple[float, ...] = DEFAULT_IM_SCHEDULE  # scan: min(...) <= Im E < 0
+    window: float = 0.5  # accepted for existing configs; no command reads it
 
 
 @dataclass(frozen=True)
@@ -115,12 +116,15 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(f"scan.grid is missing {exc}") from exc
         except (TypeError, ValueError, ChargePlaneError) as exc:
             raise ConfigError(f"scan.grid: {exc}") from exc
+    im_schedule = tuple(float(v) for v in sc.get("im_schedule", DEFAULT_IM_SCHEDULE))
+    if not all(map(math.isfinite, im_schedule)):
+        raise ConfigError(f"scan.im_schedule values must be finite, got {list(im_schedule)}")
     scan = ScanConfig(
         energy=_complex_pair(sc["energy"], "scan.energy") if "energy" in sc else None,
         grid=grid,
         guess=_complex_pair(sc["guess"], "scan.guess") if "guess" in sc else None,
         z_targets=tuple(float(z) for z in sc.get("z_targets", ())),
-        im_schedule=tuple(float(v) for v in sc.get("im_schedule", DEFAULT_IM_SCHEDULE)),
+        im_schedule=im_schedule,
         window=float(sc.get("window", 0.5)),
     )
 

@@ -1,10 +1,13 @@
-"""Resonance location: crossing detection, complex-energy Newton refinement,
-and stability verification against the computational parameters.
+"""Resonance location: pole listing from the affine pencil, complex-energy
+Newton refinement, and stability verification against the computational
+parameters.
 
 A resonance at target charge Z is an energy E where an eigenvalue branch
-Z_n(E) of the rotated charge operator equals Z. Crossings of the real Z axis
-found in trajectory sweeps seed a Newton iteration on E; accepted poles must
-sit on a plateau under variations of (lambda, theta, N).
+Z_n(E) of the rotated charge operator M(E) = S + E*D equals Z. Since M is
+affine in E, every such E is a generalized eigenvalue of the pencil
+(S - Z, -D); one dense pencil solve lists them all, each seeds a Newton
+iteration on E, and accepted poles must sit on a plateau under variations of
+(lambda, theta, N).
 """
 
 from __future__ import annotations
@@ -13,35 +16,18 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import lu_factor, lu_solve
 
 from .basis import ChannelConfig
-from .errors import EigensolverError
+from .errors import ChargePlaneError, EigensolverError
 from .hamiltonian import RotatedHamiltonian
 from .potential import PotentialModel
-from .trajectory import EnergyGrid, Trajectory, sweep
 
 RESIDUAL_TOL = 1e-10
 MAX_ITER = 50
 START_STEPS = 3
 DEDUP_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class CrossingCandidate:
-    """A bracketed real-axis crossing of one branch near a target charge."""
-
-    branch_id: int
-    e_lo: complex
-    e_hi: complex
-    z_at_crossing: float
-    z_target: float
-    fraction: float = 0.5
-
-    @property
-    def e_guess(self) -> complex:
-        """Energy at the interpolated crossing point."""
-        return self.e_lo + self.fraction * (self.e_hi - self.e_lo)
 
 
 @dataclass(frozen=True)
@@ -83,41 +69,6 @@ def outside_exposure_window(energy: complex, theta: float) -> bool:
     discretization noise of either sign, which would put it at |arg E| = pi.
     """
     return energy.real > 0 and energy.imag < 0 and abs(np.angle(energy)) >= 2 * theta
-
-
-def detect_crossings(
-    trajectories: list[Trajectory],
-    z_targets,
-    window: float = 0.5,
-) -> list[CrossingCandidate]:
-    """Find sign changes of Im Z along each branch near the target charges.
-
-    The crossing abscissa is linearly interpolated; a candidate is emitted
-    for every target within `window` of it.
-    """
-    candidates = []
-    for traj in trajectories:
-        z = traj.z_values
-        e = traj.energies
-        im = z.imag
-        for i in range(len(z) - 1):
-            if im[i] * im[i + 1] >= 0:
-                continue
-            t = im[i] / (im[i] - im[i + 1])
-            z_cross = float((z[i] + t * (z[i + 1] - z[i])).real)
-            for target in z_targets:
-                if abs(z_cross - target) <= window:
-                    candidates.append(
-                        CrossingCandidate(
-                            branch_id=traj.branch_id,
-                            e_lo=complex(e[i]),
-                            e_hi=complex(e[i + 1]),
-                            z_at_crossing=z_cross,
-                            z_target=float(target),
-                            fraction=float(t),
-                        )
-                    )
-    return candidates
 
 
 def refine_resonance(
@@ -173,6 +124,66 @@ def refine_resonance(
     return Resonance(z_target, cfg.l, energy, False, MAX_ITER, residual)
 
 
+def poles(ham: RotatedHamiltonian, z_target: float) -> np.ndarray:
+    """Every energy E at which a charge of M(E) = S + E*D equals z_target.
+
+    Z_t is a charge of M(E) exactly when (S - Z_t) x = -E D x has a nonzero
+    solution, so these are the finite generalized eigenvalues of the pencil
+    (S - Z_t, -D), sorted by (Re, Im). Raises EigensolverError when the QZ
+    iteration fails.
+    """
+    shifted = ham.matrix(0.0) - z_target * np.eye(ham.cfg.n_basis)
+    try:
+        values = scipy.linalg.eigvals(shifted, -ham.derivative, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        n = ham.cfg.n_basis
+        raise EigensolverError(f"QZ iteration failed at order {n}: {exc}", order=n) from exc
+    values = values[np.isfinite(values)]
+    return values[np.lexsort((values.imag, values.real))]
+
+
+def _refine_at_point(found, cfg: ChannelConfig, model: PotentialModel) -> list[tuple]:
+    """(energy, converged) of each resonance re-refined at one grid point, all
+    on one assembly: the operator refine_resonance would build for each alone."""
+    try:
+        ham = RotatedHamiltonian(cfg, model)
+    except EigensolverError:
+        return [(None, False)] * len(found)
+    outcomes = []
+    for res in found:
+        try:
+            point = refine_resonance(res.energy, res.z_target, cfg, model, ham)
+        except EigensolverError:
+            outcomes.append((None, False))
+        else:
+            outcomes.append((point.energy, point.converged))
+    return outcomes
+
+
+def _stability_reports(
+    found, lambda_values, theta_values, n_values, cfg, model, tolerance
+) -> list[StabilityReport]:
+    """stability_scan of each resonance, with the grid loop outside."""
+    entries = [[] for _ in found]
+    oversample = cfg.quad_size - cfg.n_basis
+    for lam, theta, n in itertools.product(lambda_values, theta_values, n_values):
+        point_cfg = replace(cfg, scale=lam, theta=theta, n_basis=n, quad_size=n + oversample)
+        for rows, outcome in zip(entries, _refine_at_point(found, point_cfg, model)):
+            rows.append((lam, theta, n, *outcome))
+    reports = []
+    for rows in entries:
+        energies = [energy for *_, energy, converged in rows if converged]
+        if len(energies) >= 2:
+            arr = np.array(energies)
+            max_dev = float(np.abs(arr[:, None] - arr[None, :]).max())
+        else:
+            max_dev = 0.0
+        all_converged = all(converged for *_, converged in rows)
+        plateau = all_converged and bool(rows) and max_dev <= tolerance
+        reports.append(StabilityReport(tuple(rows), max_dev, plateau))
+    return reports
+
+
 def stability_scan(
     res: Resonance,
     lambda_values,
@@ -188,30 +199,10 @@ def stability_scan(
     flag requires every point to converge and the deviation to stay within
     tolerance.
     """
-    entries = []
-    energies = []
-    all_converged = True
-    for lam, theta, n in itertools.product(lambda_values, theta_values, n_values):
-        oversample = cfg.quad_size - cfg.n_basis
-        point_cfg = replace(cfg, scale=lam, theta=theta, n_basis=n, quad_size=n + oversample)
-        try:
-            point = refine_resonance(res.energy, res.z_target, point_cfg, model)
-        except EigensolverError:
-            entries.append((lam, theta, n, None, False))
-            all_converged = False
-            continue
-        entries.append((lam, theta, n, point.energy, point.converged))
-        if point.converged:
-            energies.append(point.energy)
-        else:
-            all_converged = False
-    if len(energies) >= 2:
-        arr = np.array(energies)
-        max_dev = float(np.abs(arr[:, None] - arr[None, :]).max())
-    else:
-        max_dev = 0.0
-    plateau = all_converged and bool(entries) and max_dev <= tolerance
-    return StabilityReport(entries=tuple(entries), max_deviation=max_dev, plateau=plateau)
+    (report,) = _stability_reports(
+        [res], lambda_values, theta_values, n_values, cfg, model, tolerance
+    )
+    return report
 
 
 DEFAULT_IM_SCHEDULE = (-0.025, -0.1, -0.4, -1.6, -3.2, -6.4, -12.8, -25.6)
@@ -234,23 +225,36 @@ def auto_search(
     steps: int = 101,
     window: float = 1.0,
     run_stability: bool = True,
-    threads: int = 1,
 ) -> list[Resonance]:
-    """Scan Im E over a schedule, refine every detected crossing, de-duplicate.
+    """Refine every pole of each target charge in a box, de-duplicate.
 
-    Candidates that fail to refine are dropped; nothing here is fatal.
-    Output is ordered by (z_target, E_r).
+    The candidates are the `poles` with Re E in re_range and
+    min(im_schedule) <= Im E < 0 (an empty schedule is an empty box),
+    except those outside the exposure window; each is polished by
+    refine_resonance. Candidates that fail to refine are dropped; nothing
+    here is fatal. `steps` and `window` are accepted for existing callers
+    and configs and have no effect. Output is ordered by (z_target, E_r).
     """
-    if not z_targets:
+    re_lo, re_hi = re_range
+    if not np.all(np.isfinite([re_lo, re_hi, *im_schedule])):
+        raise ChargePlaneError(
+            f"search bounds must be finite, got re {list(re_range)}, im {list(im_schedule)}"
+        )
+    if not re_lo < re_hi:
+        raise ChargePlaneError(f"search requires re_start < re_end, got [{re_lo}, {re_hi}]")
+    if not z_targets or not im_schedule:
         return []
+    im_lo = min(im_schedule)
     ham = RotatedHamiltonian(cfg, model)
     found: list[Resonance] = []
-    for im_part in im_schedule:
-        grid = EnergyGrid(re_range[0], re_range[1], steps, im_part)
-        trajectories = sweep(cfg, model, grid, threads=threads, ham=ham)
-        for cand in detect_crossings(trajectories, z_targets, window):
+    for target in map(float, z_targets):
+        for guess in poles(ham, target):
+            if not (re_lo <= guess.real <= re_hi and im_lo <= guess.imag < 0):
+                continue
+            if outside_exposure_window(guess, cfg.theta):
+                continue
             try:
-                res = refine_resonance(cand.e_guess, cand.z_target, cfg, model, ham)
+                res = refine_resonance(guess, target, cfg, model, ham)
             except EigensolverError:
                 continue
             if not res.converged:
@@ -261,11 +265,9 @@ def auto_search(
             )
             if not dup:
                 found.append(res)
-    if run_stability:
+    if run_stability and found:
         lams, thetas, ns = _default_stability_grid(cfg)
-        found = [
-            replace(r, stability=stability_scan(r, lams, thetas, ns, cfg, model))
-            for r in found
-        ]
+        reports = _stability_reports(found, lams, thetas, ns, cfg, model, tolerance=1e-8)
+        found = [replace(r, stability=report) for r, report in zip(found, reports)]
     found.sort(key=lambda r: (r.z_target, r.e_r))
     return found

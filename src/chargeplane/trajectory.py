@@ -57,11 +57,6 @@ class Trajectory:
     z_values: np.ndarray = field(repr=False)
     discontinuities: tuple[int, ...] = ()
 
-    @property
-    def max_abs_im(self) -> float:
-        """Bound-state coincidence metadata: max |Im Z| over the sweep."""
-        return float(np.abs(self.z_values.imag).max())
-
 
 def match_step(prev, nxt, threshold: float | None = None):
     """Greedy minimum-distance assignment between two eigenvalue sets.

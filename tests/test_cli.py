@@ -172,11 +172,20 @@ class TestExitCodes:
         assert main(["eigs", "--config", cfg]) == 3
         assert "solver failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--svg"]])
-    def test_flag_rejected_where_unused(self, tmp_path, flag):
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("find", ["--threads", "2"]),
+            ("find", ["--svg"]),
+            ("scan", ["--threads", "2"]),
+            ("scan", ["--svg"]),
+        ],
+        ids=["flag0", "flag1", "scan-threads", "scan-svg"],
+    )
+    def test_flag_rejected_where_unused(self, tmp_path, command, flag):
         cfg = _write_cfg(tmp_path, FIND)
         with pytest.raises(SystemExit) as exc:
-            main(["find", "--config", cfg, *flag])
+            main([command, "--config", cfg, *flag])
         assert exc.value.code == 2
 
     def test_nonfinite_grid_is_config_error(self, tmp_path, capsys):
@@ -185,6 +194,14 @@ class TestExitCodes:
         assert ".nan" in (tmp_path / "run.yaml").read_text()
         assert main(["sweep", "--config", cfg]) == 2
         assert "scan.grid" in capsys.readouterr().err
+
+    def test_nonfinite_im_schedule_is_config_error(self, tmp_path, capsys):
+        scan = {**SWEEP["scan"], "z_targets": [0.0], "im_schedule": [float("nan")]}
+        data = {**SWEEP, "scan": scan}
+        cfg = _write_cfg(tmp_path, data)
+        assert ".nan" in (tmp_path / "run.yaml").read_text()
+        assert main(["scan", "--config", cfg]) == 2
+        assert "scan.im_schedule" in capsys.readouterr().err
 
     def test_table_tolerance_failure(self, tmp_path, capsys):
         data = {

@@ -2,6 +2,8 @@
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeplane.config import dump_config, load_config, parse_config
 from chargeplane.errors import ConfigError
@@ -100,6 +102,37 @@ class TestRoundTrip:
         cfg = parse_config(FULL)
         again = parse_config(yaml.safe_load(dump_config(cfg)))
         assert again == cfg
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        l=st.integers(0, 5),
+        n_basis=st.integers(1, 300),
+        oversample=st.integers(0, 50),
+        scale=st.floats(1e-3, 1e3),
+        theta=st.floats(0.0, 1.5),
+        re_start=st.floats(-50.0, 50.0),
+        width=st.floats(1e-3, 50.0),
+        steps=st.integers(2, 500),
+        im_part=st.floats(-30.0, 30.0),
+        im_schedule=st.lists(st.floats(-30.0, 0.0), max_size=8),
+        window=st.floats(0.0, 5.0),
+    )
+    def test_round_trip_property(
+        self, l, n_basis, oversample, scale, theta, re_start, width, steps, im_part,
+        im_schedule, window,
+    ):
+        data = {
+            "channel": {"l": l, "n_basis": n_basis, "scale": scale, "theta": theta,
+                        "quad_size": n_basis + oversample},
+            "scan": {
+                "grid": {"re_start": re_start, "re_end": re_start + width, "steps": steps,
+                         "im_part": im_part},
+                "im_schedule": im_schedule,
+                "window": window,
+            },
+        }
+        cfg = parse_config(data)
+        assert parse_config(yaml.safe_load(dump_config(cfg))) == cfg
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.yaml"

@@ -1,6 +1,8 @@
-"""Tests for crossing detection, Newton refinement, and stability scans."""
+"""Tests for pole listing, Newton refinement, and stability scans, with
+crossing detection on trajectory sweeps as an independent oracle."""
 
 import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,24 +12,78 @@ from hypothesis import strategies as st
 
 from chargeplane import reference, resonance
 from chargeplane.basis import ChannelConfig
-from chargeplane.errors import EigensolverError
+from chargeplane.errors import ChargePlaneError, EigensolverError
 from chargeplane.hamiltonian import RotatedHamiltonian
 from chargeplane.potential import R2_EXP_POTENTIAL, PotentialModel
 from chargeplane.reference import DEFAULT_CHANNEL, run_table
 from chargeplane.resonance import (
-    CrossingCandidate,
     auto_search,
-    detect_crossings,
+    outside_exposure_window,
+    poles,
     refine_resonance,
     stability_scan,
 )
-from chargeplane.trajectory import Trajectory
+from chargeplane.trajectory import EnergyGrid, Trajectory, sweep
 
 EMPTY = PotentialModel(terms=())
 
 
 def _cfg(l=0, n=100):
     return ChannelConfig(l=l, n_basis=n, scale=20.0, theta=0.7, quad_size=n)
+
+
+# Crossing detection on sampled trajectories, the method's own picture, kept
+# as an oracle that knows nothing of the pencil.
+@dataclass(frozen=True)
+class CrossingCandidate:
+    """A bracketed real-axis crossing of one branch near a target charge."""
+
+    branch_id: int
+    e_lo: complex
+    e_hi: complex
+    z_at_crossing: float
+    z_target: float
+    fraction: float = 0.5
+
+    @property
+    def e_guess(self) -> complex:
+        """Energy at the interpolated crossing point."""
+        return self.e_lo + self.fraction * (self.e_hi - self.e_lo)
+
+
+def detect_crossings(
+    trajectories: list[Trajectory],
+    z_targets,
+    window: float = 0.5,
+) -> list[CrossingCandidate]:
+    """Find sign changes of Im Z along each branch near the target charges.
+
+    The crossing abscissa is linearly interpolated; a candidate is emitted
+    for every target within `window` of it.
+    """
+    candidates = []
+    for traj in trajectories:
+        z = traj.z_values
+        e = traj.energies
+        im = z.imag
+        for i in range(len(z) - 1):
+            if im[i] * im[i + 1] >= 0:
+                continue
+            t = im[i] / (im[i] - im[i + 1])
+            z_cross = float((z[i] + t * (z[i + 1] - z[i])).real)
+            for target in z_targets:
+                if abs(z_cross - target) <= window:
+                    candidates.append(
+                        CrossingCandidate(
+                            branch_id=traj.branch_id,
+                            e_lo=complex(e[i]),
+                            e_hi=complex(e[i + 1]),
+                            z_at_crossing=z_cross,
+                            z_target=float(target),
+                            fraction=float(t),
+                        )
+                    )
+    return candidates
 
 
 class TestDetectCrossings:
@@ -56,6 +112,51 @@ class TestDetectCrossings:
         z = np.array([1.0 + 0.1j, 1.0 + 0.2j, 1.0 + 0.05j])
         traj = Trajectory(branch_id=0, energies=energies, z_values=z)
         assert detect_crossings([traj], [1.0]) == []
+
+
+class TestPoles:
+    def test_sweep_crossings_refine_onto_poles(self):
+        # the scan configuration: crossings read off sampled trajectories at
+        # a few Im E, refined, must each be a pencil eigenvalue
+        cfg = _cfg(n=150)
+        ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
+        listed = poles(ham, 0.0)
+        checked = []
+        for im_part in (-0.025, -1.6, -3.2, -6.4):
+            grid = EnergyGrid(0.0, 10.0, 51, im_part)
+            trajectories = sweep(cfg, R2_EXP_POTENTIAL, grid, ham=ham)
+            for cand in detect_crossings(trajectories, [0.0], window=1.0):
+                res = refine_resonance(cand.e_guess, 0.0, cfg, R2_EXP_POTENTIAL, ham)
+                if res.converged and not outside_exposure_window(res.energy, cfg.theta):
+                    checked.append(res.energy)
+                    assert np.abs(listed - res.energy).min() <= 1e-9
+        # the four plateau poles below Re E = 10 and a near-threshold artifact
+        # at -0.0092 - 0.0332i
+        assert len(checked) == 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        l=st.integers(0, 3),
+        n=st.integers(5, 40),
+        scale=st.floats(5.0, 40.0),
+        theta=st.floats(0.0, 1.2),
+        z_target=st.floats(-10.0, 10.0),
+    )
+    def test_every_pole_has_the_target_charge(self, l, n, scale, theta, z_target):
+        cfg = ChannelConfig(l=l, n_basis=n, scale=scale, theta=theta)
+        ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
+        listed = poles(ham, z_target)
+        assert len(listed) == n
+        for energy in listed:
+            mat = ham.matrix(energy)
+            charges = np.linalg.eigvals(mat)
+            assert np.abs(charges - z_target).min() <= 1e-9 * np.linalg.norm(mat)
+
+    def test_sorted_and_finite(self):
+        listed = poles(RotatedHamiltonian(_cfg(n=40), R2_EXP_POTENTIAL), 0.0)
+        assert np.all(np.isfinite(listed))
+        order = np.lexsort((listed.imag, listed.real))
+        assert np.array_equal(order, np.arange(len(listed)))
 
 
 class TestRefineResonance:
@@ -201,6 +302,57 @@ class TestStabilityScan:
 class TestAutoSearch:
     def test_empty_targets(self):
         assert auto_search(_cfg(n=40), R2_EXP_POTENTIAL, []) == []
+
+    def test_empty_schedule_is_an_empty_region(self):
+        assert auto_search(_cfg(n=40), R2_EXP_POTENTIAL, [0.0], im_schedule=()) == []
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"re_range": (np.nan, 10.0)},
+            {"re_range": (0.0, np.inf)},
+            {"im_schedule": (-0.1, np.nan)},
+            {"re_range": (5.0, 5.0)},
+        ],
+    )
+    def test_rejects_bad_region(self, kwargs):
+        with pytest.raises(ChargePlaneError):
+            auto_search(_cfg(n=20), R2_EXP_POTENTIAL, [0.0], **kwargs)
+
+    def test_refines_exactly_the_exposed_poles_in_the_region(self, monkeypatch):
+        cfg = _cfg(n=60)
+        guesses = []
+        original = resonance.refine_resonance
+
+        def recording(guess, *args):
+            guesses.append(guess)
+            return original(guess, *args)
+
+        monkeypatch.setattr(resonance, "refine_resonance", recording)
+        auto_search(cfg, R2_EXP_POTENTIAL, [0.0], im_schedule=(-0.4, -10.0), re_range=(0.0, 8.0),
+                    run_stability=False)
+        in_box = [
+            e for e in poles(RotatedHamiltonian(cfg, R2_EXP_POTENTIAL), 0.0)
+            if 0.0 <= e.real <= 8.0 and -10.0 <= e.imag < 0
+        ]
+        expected = [e for e in in_box if not outside_exposure_window(e, cfg.theta)]
+        assert 0 < len(expected) < len(in_box)
+        assert guesses == expected
+
+    def test_shared_assemblies_give_stability_scan_reports(self):
+        # every grid entry equals a refinement that assembles its own operator
+        cfg = _cfg(n=60)
+        found = auto_search(cfg, R2_EXP_POTENTIAL, [0.0, 1.0])
+        assert len(found) >= 2
+        for r in found:
+            assert len(r.stability.entries) == 9
+            for lam, theta, n, energy, converged in r.stability.entries:
+                point_cfg = replace(cfg, scale=lam, theta=theta, n_basis=n, quad_size=n)
+                alone = refine_resonance(r.energy, r.z_target, point_cfg, R2_EXP_POTENTIAL)
+                assert (alone.energy, alone.converged) == (energy, converged)
+            grid = resonance._default_stability_grid(cfg)
+            alone_report = stability_scan(replace(r, stability=None), *grid, cfg, R2_EXP_POTENTIAL)
+            assert r.stability == alone_report
 
     def test_free_operator_artifacts_fail_stability(self):
         # V = 0 has no genuine poles at Z = 0; any search hits are

@@ -196,10 +196,3 @@ class TestSweep:
         tf = sweep(cfg, GAUSSIAN_WELL_POTENTIAL, fine)
         for a, b in zip(tc, tf):
             assert a.z_values == pytest.approx(b.z_values[::2], abs=1e-10)
-
-    def test_max_abs_im_metadata(self):
-        cfg = ChannelConfig(l=0, n_basis=20, scale=20.0, theta=0.7, quad_size=20)
-        grid = EnergyGrid(re_start=-0.6, re_end=-0.4, steps=3)
-        trajs = sweep(cfg, EMPTY, grid)
-        for t in trajs:
-            assert t.max_abs_im == np.abs(t.z_values.imag).max()
