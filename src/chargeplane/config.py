@@ -35,6 +35,22 @@ def _complex_pair(entry, where: str) -> complex:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _convert(convert, value, where: str):
+    """convert(value), with a malformed value raised as a ConfigError naming its key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(map(float, values))
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(map(int, values))
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Targets and energy ranges for eigs/sweep/find/scan commands."""
@@ -116,33 +132,31 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(f"scan.grid is missing {exc}") from exc
         except (TypeError, ValueError, ChargePlaneError) as exc:
             raise ConfigError(f"scan.grid: {exc}") from exc
-    im_schedule = tuple(float(v) for v in sc.get("im_schedule", DEFAULT_IM_SCHEDULE))
+    im_schedule = _convert(_floats, sc.get("im_schedule", DEFAULT_IM_SCHEDULE), "scan.im_schedule")
     if not all(map(math.isfinite, im_schedule)):
         raise ConfigError(f"scan.im_schedule values must be finite, got {list(im_schedule)}")
     scan = ScanConfig(
         energy=_complex_pair(sc["energy"], "scan.energy") if "energy" in sc else None,
         grid=grid,
         guess=_complex_pair(sc["guess"], "scan.guess") if "guess" in sc else None,
-        z_targets=tuple(float(z) for z in sc.get("z_targets", ())),
+        z_targets=_convert(_floats, sc.get("z_targets", ()), "scan.z_targets"),
         im_schedule=im_schedule,
-        window=float(sc.get("window", 0.5)),
+        window=_convert(float, sc.get("window", 0.5), "scan.window"),
     )
 
     st = data.get("stability", {}) or {}
     _check_keys(st, ("lambda_values", "theta_values", "n_values", "tolerance"), "stability")
     stability = StabilityConfig(
-        lambda_values=tuple(float(v) for v in st.get("lambda_values", ())),
-        theta_values=tuple(float(v) for v in st.get("theta_values", ())),
-        n_values=tuple(int(v) for v in st.get("n_values", ())),
-        tolerance=float(st.get("tolerance", 1e-8)),
+        lambda_values=_convert(_floats, st.get("lambda_values", ()), "stability.lambda_values"),
+        theta_values=_convert(_floats, st.get("theta_values", ()), "stability.theta_values"),
+        n_values=_convert(_ints, st.get("n_values", ()), "stability.n_values"),
+        tolerance=_convert(float, st.get("tolerance", 1e-8), "stability.tolerance"),
     )
 
     tb = data.get("table", {}) or {}
     _check_keys(tb, ("tables", "tolerance"), "table")
-    table = TableConfig(
-        tables=tuple(tb.get("tables", ("table1",))),
-        tolerance=float(tb["tolerance"]) if "tolerance" in tb else None,
-    )
+    tolerance = _convert(float, tb["tolerance"], "table.tolerance") if "tolerance" in tb else None
+    table = TableConfig(tables=tuple(tb.get("tables", ("table1",))), tolerance=tolerance)
 
     return RunConfig(potential=model, channel=channel, scan=scan, stability=stability, table=table)
 

@@ -32,7 +32,14 @@ DEDUP_TOL = 1e-6
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Re-refinement of one resonance over a (lambda, theta, N) grid."""
+    """Re-refinement of one resonance over a (lambda, theta, N) grid.
+
+    A plateau report lists every grid point. Any other report lists the grid
+    in order up to and including the point that settled its verdict: the
+    first that failed to converge, or whose energy lay more than the
+    tolerance from an earlier converged one. max_deviation is the maximum
+    pairwise |dE| over the converged points listed.
+    """
 
     entries: tuple = ()  # (lambda, theta, N, energy, converged) tuples
     max_deviation: float = 0.0
@@ -163,13 +170,28 @@ def _refine_at_point(found, cfg: ChannelConfig, model: PotentialModel) -> list[t
 def _stability_reports(
     found, lambda_values, theta_values, n_values, cfg, model, tolerance
 ) -> list[StabilityReport]:
-    """stability_scan of each resonance, with the grid loop outside."""
+    """stability_scan of each resonance, with the grid loop outside.
+
+    A resonance leaves the loop at the first grid point that settles its
+    verdict: one whose refinement fails or does not converge, or whose
+    energy lies more than tolerance from an earlier converged energy. No
+    later point can restore a plateau after either, so the verdict is the
+    full grid's; only resonances still live are re-refined at later points.
+    """
+    grid = list(itertools.product(lambda_values, theta_values, n_values))
     entries = [[] for _ in found]
+    live = list(range(len(found)))
     oversample = cfg.quad_size - cfg.n_basis
-    for lam, theta, n in itertools.product(lambda_values, theta_values, n_values):
+    for lam, theta, n in grid:
+        if not live:
+            break
         point_cfg = replace(cfg, scale=lam, theta=theta, n_basis=n, quad_size=n + oversample)
-        for rows, outcome in zip(entries, _refine_at_point(found, point_cfg, model)):
-            rows.append((lam, theta, n, *outcome))
+        outcomes = _refine_at_point([found[i] for i in live], point_cfg, model)
+        for i, (energy, converged) in zip(list(live), outcomes):
+            earlier = np.array([e for *_, e, c in entries[i] if c])
+            entries[i].append((lam, theta, n, energy, converged))
+            if not converged or np.any(np.abs(energy - earlier) > tolerance):
+                live.remove(i)
     reports = []
     for rows in entries:
         energies = [energy for *_, energy, converged in rows if converged]
@@ -179,7 +201,7 @@ def _stability_reports(
         else:
             max_dev = 0.0
         all_converged = all(converged for *_, converged in rows)
-        plateau = all_converged and bool(rows) and max_dev <= tolerance
+        plateau = all_converged and len(rows) == len(grid) > 0 and max_dev <= tolerance
         reports.append(StabilityReport(tuple(rows), max_dev, plateau))
     return reports
 
@@ -195,9 +217,11 @@ def stability_scan(
 ) -> StabilityReport:
     """Re-refine a converged resonance over a (lambda, theta, N) grid.
 
-    Reports the maximum pairwise |dE| over converged grid points; the plateau
-    flag requires every point to converge and the deviation to stay within
-    tolerance.
+    The plateau flag requires every point to converge and the maximum
+    pairwise |dE| to stay within tolerance. Points run in
+    itertools.product order, and the scan stops at the first point that
+    rules a plateau out, so a non-plateau report lists only the grid up to
+    that point (see StabilityReport).
     """
     (report,) = _stability_reports(
         [res], lambda_values, theta_values, n_values, cfg, model, tolerance
@@ -232,8 +256,12 @@ def auto_search(
     min(im_schedule) <= Im E < 0 (an empty schedule is an empty box),
     except those outside the exposure window; each is polished by
     refine_resonance. Candidates that fail to refine are dropped; nothing
-    here is fatal. `steps` and `window` are accepted for existing callers
-    and configs and have no effect. Output is ordered by (z_target, E_r).
+    here is fatal. With run_stability, each pole gets the stability_scan
+    report of the 3 x 3 (lambda, theta) grid around cfg, all poles sharing
+    one assembly per grid point; a pole leaves the grid at the point that
+    settles its verdict. `steps` and `window` are accepted for existing
+    callers and configs and have no effect. Output is ordered by
+    (z_target, E_r).
     """
     re_lo, re_hi = re_range
     if not np.all(np.isfinite([re_lo, re_hi, *im_schedule])):

@@ -29,6 +29,18 @@ FIND = {
 }
 
 
+NON_NUMERIC = {
+    "scan.z_targets": ["zero"],
+    "scan.window": "wide",
+    "scan.im_schedule": [-0.1, "deep"],
+    "stability.lambda_values": ["twenty"],
+    "stability.theta_values": [0.7, "steep"],
+    "stability.n_values": ["many"],
+    "stability.tolerance": "tight",
+    "table.tolerance": "loose",
+}
+
+
 def _write_cfg(tmp_path, data, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
@@ -147,6 +159,40 @@ class TestStability:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "exposure window" in err
 
+    def test_non_plateau_grid_stops_at_settling_point(self, tmp_path):
+        # theta = 0.05 under-rotates the pole at 4.8348 - 1.1179i: that point
+        # converges elsewhere, so the second grid point settles the verdict
+        data = {
+            **FIND,
+            "channel": {**FIND["channel"], "n_basis": 120},
+            "scan": {"guess": {"re": 4.8345, "im": -1.117}, "z_targets": [0.0]},
+            "stability": {"lambda_values": [20.0, 25.0], "theta_values": [0.05, 0.7]},
+        }
+        cfg = _write_cfg(tmp_path, data)
+        out = tmp_path / "res"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "resonances.json").read_text())[0]["stability"]
+        assert report["plateau"] is False
+        grid = report["grid"]
+        assert [(p["lambda"], p["theta"]) for p in grid] == [(20.0, 0.05), (20.0, 0.7)]
+        assert all(p["converged"] for p in grid)
+        first, last = (complex(p["e_r"], -p["gamma"] / 2) for p in grid)
+        assert abs(last - first) > 1e-8
+        assert abs(last - first) == pytest.approx(report["max_deviation"])
+
+    def test_readme_pole_lists_full_grid(self, tmp_path):
+        data = {
+            **FIND,
+            "channel": {**FIND["channel"], "n_basis": 200},
+            "stability": {"lambda_values": [10.0, 20.0, 40.0], "theta_values": [0.6, 0.7, 0.8]},
+        }
+        cfg = _write_cfg(tmp_path, data)
+        out = tmp_path / "res"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "resonances.json").read_text())[0]["stability"]
+        assert report["plateau"] is True
+        assert len(report["grid"]) == 9
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -202,6 +248,15 @@ class TestExitCodes:
         assert ".nan" in (tmp_path / "run.yaml").read_text()
         assert main(["scan", "--config", cfg]) == 2
         assert "scan.im_schedule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", NON_NUMERIC)
+    def test_non_numeric_value_is_config_error(self, tmp_path, capsys, key):
+        data = {**SWEEP, "scan": {**SWEEP["scan"], "z_targets": [0.0]}}
+        section, name = key.split(".")
+        data[section] = {**data.get(section, {}), name: NON_NUMERIC[key]}
+        cfg = _write_cfg(tmp_path, data)
+        assert main(["scan", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
 
     def test_table_tolerance_failure(self, tmp_path, capsys):
         data = {

@@ -1,6 +1,7 @@
 """Tests for pole listing, Newton refinement, and stability scans, with
 crossing detection on trajectory sweeps as an independent oracle."""
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -17,6 +18,8 @@ from chargeplane.hamiltonian import RotatedHamiltonian
 from chargeplane.potential import R2_EXP_POTENTIAL, PotentialModel
 from chargeplane.reference import DEFAULT_CHANNEL, run_table
 from chargeplane.resonance import (
+    StabilityReport,
+    _refine_at_point,
     auto_search,
     outside_exposure_window,
     poles,
@@ -269,6 +272,41 @@ class TestPoleInvariance:
         assert abs(res.energy - sharp_pole) <= 1e-8
 
 
+# The full-grid stability pass, re-refining every resonance at every grid
+# point: the oracle whose verdicts and plateau reports the early-settling
+# pass must reproduce.
+def full_grid_stability_reports(
+    found, lambda_values, theta_values, n_values, cfg, model, tolerance
+) -> list[StabilityReport]:
+    """stability_scan of each resonance, with the grid loop outside."""
+    entries = [[] for _ in found]
+    oversample = cfg.quad_size - cfg.n_basis
+    for lam, theta, n in itertools.product(lambda_values, theta_values, n_values):
+        point_cfg = replace(cfg, scale=lam, theta=theta, n_basis=n, quad_size=n + oversample)
+        for rows, outcome in zip(entries, _refine_at_point(found, point_cfg, model)):
+            rows.append((lam, theta, n, *outcome))
+    reports = []
+    for rows in entries:
+        energies = [energy for *_, energy, converged in rows if converged]
+        if len(energies) >= 2:
+            arr = np.array(energies)
+            max_dev = float(np.abs(arr[:, None] - arr[None, :]).max())
+        else:
+            max_dev = 0.0
+        all_converged = all(converged for *_, converged in rows)
+        plateau = all_converged and bool(rows) and max_dev <= tolerance
+        reports.append(StabilityReport(tuple(rows), max_dev, plateau))
+    return reports
+
+
+def _settled(rows, tolerance) -> bool:
+    """True when grid entries already rule out a plateau: a point did not
+    converge, or two converged energies differ by more than tolerance."""
+    energies = np.array([energy for *_, energy, converged in rows if converged])
+    spread = np.abs(energies[:, None] - energies[None, :])
+    return not all(converged for *_, converged in rows) or bool(np.any(spread > tolerance))
+
+
 class TestStabilityScan:
     def test_single_point_grid_is_a_plateau(self):
         cfg = _cfg(n=120)
@@ -297,6 +335,55 @@ class TestStabilityScan:
             res, [20.0], [0.05, 0.7], [120], cfg, R2_EXP_POTENTIAL
         )
         assert not report.plateau
+
+
+    def test_failed_point_settles_the_verdict(self, monkeypatch):
+        cfg = _cfg(n=60)
+        res = refine_resonance(3.4264 - 0.0128j, 0.0, cfg, R2_EXP_POTENTIAL)
+        grid = ([20.0], [0.7, 0.6, 0.8], [60])
+        assert stability_scan(res, *grid, cfg, R2_EXP_POTENTIAL).plateau
+        original = resonance.refine_resonance
+
+        def failing_at_0_6(guess, z_target, point_cfg, model, ham=None):
+            if point_cfg.theta == 0.6:
+                raise EigensolverError("injected failure")
+            return original(guess, z_target, point_cfg, model, ham)
+
+        monkeypatch.setattr(resonance, "refine_resonance", failing_at_0_6)
+        report = stability_scan(res, *grid, cfg, R2_EXP_POTENTIAL)
+        assert not report.plateau
+        assert report.entries[1][1:] == (0.6, 60, None, False)
+        assert len(report.entries) == 2
+
+    # Small grids over both potentials; theta = 0.05 under-rotates most
+    # poles, so draws mix plateau poles with ones that settle early.
+    @settings(max_examples=25, deadline=None)
+    @given(
+        l=st.integers(0, 2),
+        n=st.integers(20, 60),
+        z_target=st.sampled_from([-1.0, 0.0, 1.0]),
+        model=st.sampled_from([R2_EXP_POTENTIAL, EMPTY]),
+        lams=st.lists(st.sampled_from([15.0, 20.0, 30.0]), min_size=1, max_size=2, unique=True),
+        thetas=st.lists(st.sampled_from([0.05, 0.4, 0.7]), min_size=1, max_size=3, unique=True),
+        n_offsets=st.lists(st.sampled_from([0, -5, 5]), min_size=1, max_size=2, unique=True),
+    )
+    def test_verdicts_match_the_full_grid(self, l, n, z_target, model, lams, thetas, n_offsets):
+        cfg = _cfg(l=l, n=n)
+        ham = RotatedHamiltonian(cfg, model)
+        found = []
+        for guess in sorted(poles(ham, z_target), key=abs)[:6]:
+            res = refine_resonance(guess, z_target, cfg, model, ham)
+            if res.converged:
+                found.append(res)
+        grid = (lams, thetas, [n + k for k in n_offsets])
+        reports = resonance._stability_reports(found, *grid, cfg, model, 1e-8)
+        oracle = full_grid_stability_reports(found, *grid, cfg, model, 1e-8)
+        for report, full in zip(reports, oracle, strict=True):
+            assert report.plateau == full.plateau
+            if full.plateau:
+                assert report == full
+            else:
+                assert report.entries == full.entries[: len(report.entries)]
 
 
 class TestAutoSearch:
@@ -340,17 +427,28 @@ class TestAutoSearch:
         assert guesses == expected
 
     def test_shared_assemblies_give_stability_scan_reports(self):
-        # every grid entry equals a refinement that assembles its own operator
+        # every grid entry equals a refinement that assembles its own operator;
+        # a plateau pole lists the whole grid, any other pole the grid-order
+        # prefix whose last point settles its verdict
         cfg = _cfg(n=60)
         found = auto_search(cfg, R2_EXP_POTENTIAL, [0.0, 1.0])
         assert len(found) >= 2
+        grid = resonance._default_stability_grid(cfg)
+        points = list(itertools.product(*grid))
+        assert len(points) == 9
+        assert {r.stability.plateau for r in found} == {True, False}
         for r in found:
-            assert len(r.stability.entries) == 9
+            entries = r.stability.entries
+            assert [entry[:3] for entry in entries] == points[: len(entries)]
+            if r.stability.plateau:
+                assert len(entries) == 9
+            else:
+                assert _settled(entries, 1e-8)
+                assert not _settled(entries[:-1], 1e-8)
             for lam, theta, n, energy, converged in r.stability.entries:
                 point_cfg = replace(cfg, scale=lam, theta=theta, n_basis=n, quad_size=n)
                 alone = refine_resonance(r.energy, r.z_target, point_cfg, R2_EXP_POTENTIAL)
                 assert (alone.energy, alone.converged) == (energy, converged)
-            grid = resonance._default_stability_grid(cfg)
             alone_report = stability_scan(replace(r, stability=None), *grid, cfg, R2_EXP_POTENTIAL)
             assert r.stability == alone_report
 
