@@ -29,7 +29,12 @@ from .output import (
     trajectories_to_svg,
 )
 from .reference import format_table, run_table
-from .resonance import auto_search, outside_exposure_window, refine_resonance, stability_scan
+from .resonance import (
+    _stability_reports,
+    auto_search,
+    outside_exposure_window,
+    refine_resonance,
+)
 from .trajectory import sweep
 
 EXIT_OK = 0
@@ -82,18 +87,27 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_find(cfg: RunConfig, args) -> int:
+def _refine_targets(cfg: RunConfig) -> list:
+    """scan.guess refined at every scan.z_targets charge, all on one assembly."""
     guess = _require(cfg.scan.guess, "scan.guess")
     if not cfg.scan.z_targets:
         raise ConfigError("this command requires scan.z_targets in the config")
-    results = [
-        refine_resonance(guess, target, cfg.channel, cfg.potential)
+    ham = RotatedHamiltonian(cfg.channel, cfg.potential)
+    return [
+        refine_resonance(guess, target, cfg.channel, cfg.potential, ham)
         for target in cfg.scan.z_targets
     ]
+
+
+def _write_refined(results, cfg: RunConfig, args) -> int:
     results.sort(key=lambda r: (r.z_target, r.e_r))
     _write(args.out, "resonances.json", resonances_to_json(results))
     _warn_unexposed(results, cfg.channel.theta)
     return EXIT_OK
+
+
+def cmd_find(cfg: RunConfig, args) -> int:
+    return _write_refined(_refine_targets(cfg), cfg, args)
 
 
 def cmd_scan(cfg: RunConfig, args) -> int:
@@ -110,26 +124,18 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 
 def cmd_stability(cfg: RunConfig, args) -> int:
-    guess = _require(cfg.scan.guess, "scan.guess")
-    if not cfg.scan.z_targets:
-        raise ConfigError("this command requires scan.z_targets in the config")
-    st = cfg.stability
-    lams = st.lambda_values or (cfg.channel.scale,)
-    thetas = st.theta_values or (cfg.channel.theta,)
-    ns = st.n_values or (cfg.channel.n_basis,)
-    results = []
-    for target in cfg.scan.z_targets:
-        res = refine_resonance(guess, target, cfg.channel, cfg.potential)
-        if res.converged:
-            report = stability_scan(
-                res, lams, thetas, ns, cfg.channel, cfg.potential, tolerance=st.tolerance
-            )
-            res = dataclasses.replace(res, stability=report)
-        results.append(res)
-    results.sort(key=lambda r: (r.z_target, r.e_r))
-    _write(args.out, "resonances.json", resonances_to_json(results))
-    _warn_unexposed(results, cfg.channel.theta)
-    return EXIT_OK
+    results = _refine_targets(cfg)
+    st, ch = cfg.stability, cfg.channel
+    lams = st.lambda_values or (ch.scale,)
+    thetas = st.theta_values or (ch.theta,)
+    ns = st.n_values or (ch.n_basis,)
+    found = [res for res in results if res.converged]
+    reports = iter(_stability_reports(found, lams, thetas, ns, ch, cfg.potential, st.tolerance))
+    results = [
+        dataclasses.replace(res, stability=next(reports)) if res.converged else res
+        for res in results
+    ]
+    return _write_refined(results, cfg, args)
 
 
 def cmd_table(cfg: RunConfig, args) -> int:

@@ -47,8 +47,22 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
+def _integer(value) -> int:
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
+
+
 def _ints(values) -> tuple[int, ...]:
-    return tuple(map(int, values))
+    return tuple(map(_integer, values))
+
+
+def _tolerance(value) -> float:
+    number = float(value)
+    if not 0 <= number < math.inf:
+        raise ValueError(f"expected a finite tolerance >= 0, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -150,12 +164,14 @@ def parse_config(data: dict) -> RunConfig:
         lambda_values=_convert(_floats, st.get("lambda_values", ()), "stability.lambda_values"),
         theta_values=_convert(_floats, st.get("theta_values", ()), "stability.theta_values"),
         n_values=_convert(_ints, st.get("n_values", ()), "stability.n_values"),
-        tolerance=_convert(float, st.get("tolerance", 1e-8), "stability.tolerance"),
+        tolerance=_convert(_tolerance, st.get("tolerance", 1e-8), "stability.tolerance"),
     )
 
     tb = data.get("table", {}) or {}
     _check_keys(tb, ("tables", "tolerance"), "table")
-    tolerance = _convert(float, tb["tolerance"], "table.tolerance") if "tolerance" in tb else None
+    tolerance = None
+    if "tolerance" in tb:
+        tolerance = _convert(_tolerance, tb["tolerance"], "table.tolerance")
     table = TableConfig(tables=tuple(tb.get("tables", ("table1",))), tolerance=tolerance)
 
     return RunConfig(potential=model, channel=channel, scan=scan, stability=stability, table=table)

@@ -55,8 +55,10 @@ class RotatedHamiltonian:
     """The one assembly of M(E) = S + E*D for a channel and potential.
 
     S and D are computed once from the J matrix and the cached Gauss rule of
-    the channel; matrix(E) then costs one dense S + E*D. Both arrays are
-    immutable after construction and safe to share across a parallel sweep.
+    the channel. Both are immutable after construction, so one instance is
+    safe to share across a parallel sweep. D is tridiagonal, so matrix(E, z)
+    costs one copy of S plus O(N) updates on D's three bands, and returns a
+    fresh, writable array that is exactly symmetric.
     """
 
     def __init__(self, cfg: ChannelConfig, model: PotentialModel):
@@ -69,11 +71,27 @@ class RotatedHamiltonian:
         self._static = -(lam / 8) * np.abs(j_mat) + potential_matrix(cfg, model, rule)
         self._dh_de.setflags(write=False)
         self._static.setflags(write=False)
+        self._d_diag = np.diagonal(self._dh_de).copy()
+        self._d_off = np.diagonal(self._dh_de, 1).copy()
 
-    def matrix(self, energy: complex) -> np.ndarray:
+    def matrix(self, energy: complex, z: float = 0.0) -> np.ndarray:
+        """A fresh, writable M(E) - z*I, exactly symmetric.
+
+        Each entry is bit for bit the dense (S + E*D) - z*I, in that order
+        of operations. Off D's bands the dense form adds a zero E*D, so only
+        the sign of an exactly zero entry of S there could differ.
+        """
         if not np.isfinite(energy):
             raise EigensolverError(f"non-finite energy {energy}")
-        return self._static + energy * self._dh_de
+        n = self.cfg.n_basis
+        mat = self._static.copy()
+        flat = mat.reshape(-1)
+        off = energy * self._d_off
+        flat[:: n + 1] += energy * self._d_diag
+        flat[1 :: n + 1] += off
+        flat[n :: n + 1] += off
+        flat[:: n + 1] -= z
+        return mat
 
     @property
     def derivative(self) -> np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lu_factor, lu_solve
 
 from .basis import ChannelConfig
 from .errors import ChargePlaneError, EigensolverError
@@ -78,6 +77,31 @@ def outside_exposure_window(energy: complex, theta: float) -> bool:
     return energy.real > 0 and energy.imag < 0 and abs(np.angle(energy)) >= 2 * theta
 
 
+_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+
+
+def _lu_factor(mat: np.ndarray):
+    """LU factors of a symmetric complex matrix, computed in its own memory.
+
+    mat.T is mat and is Fortran-ordered, so LAPACK factors it without a
+    copy. Raises EigensolverError when a pivot is exactly zero.
+    """
+    lu, piv, info = _GETRF(mat.T, overwrite_a=True)
+    if info > 0:
+        n = len(mat)
+        raise EigensolverError(f"exactly singular matrix at order {n}", order=n)
+    return lu, piv
+
+
+def _lu_solve(lu_piv, rhs: np.ndarray) -> np.ndarray:
+    """The unit-norm solution of one system, given _lu_factor's factors."""
+    x, _ = _GETRS(*lu_piv, rhs)
+    norm = np.linalg.norm(x)
+    if not np.isfinite(norm):
+        raise EigensolverError(f"non-finite solve at order {len(x)}", order=len(x))
+    return x / norm
+
+
 def refine_resonance(
     guess: complex,
     z_target: float,
@@ -96,39 +120,34 @@ def refine_resonance(
     START_STEPS inverse-iteration solves with M(guess) - Z_t, which selects
     the branch whose Z is nearest Z_t at the guess.
 
-    The iteration stops when the backward error ||(M(E) - Z_t) x|| with
-    ||x|| = 1 is at most RESIDUAL_TOL; after MAX_ITER steps without that,
-    non-convergence is reported in-band (converged = False). Raises
-    EigensolverError on a non-finite guess or a non-finite solve.
+    A step costs one LU factorization and two matrix-vector products,
+    (S - Z_t) x and D x, from which both the quotient and the residual
+    (M(E) - Z_t) x = (S - Z_t) x + E D x follow. The iteration stops when
+    that backward error, with ||x|| = 1, is at most RESIDUAL_TOL; after
+    MAX_ITER steps without that, non-convergence is reported in-band
+    (converged = False). Raises EigensolverError on a non-finite guess, an
+    exactly singular M(E) - Z_t, or a non-finite solve.
     """
     if not np.isfinite(guess):
         raise EigensolverError(f"non-finite energy guess {guess}")
     if ham is None:
         ham = RotatedHamiltonian(cfg, model)
-    shift = z_target * np.eye(cfg.n_basis)
-    shifted = ham.matrix(0.0) - shift
+    shifted = ham.matrix(0.0, z_target)
     deriv_mat = ham.derivative
 
-    def solve(lu, rhs):
-        x = lu_solve(lu, rhs, check_finite=False)
-        norm = np.linalg.norm(x)
-        if not np.isfinite(norm):
-            raise EigensolverError(f"non-finite solve at order {len(x)}", order=len(x))
-        return x / norm
-
-    lu = lu_factor(ham.matrix(guess) - shift, check_finite=False)
+    lu_piv = _lu_factor(ham.matrix(guess, z_target))
     x = np.ones(cfg.n_basis, dtype=complex)
     for _ in range(START_STEPS):
-        x = solve(lu, x)
+        x = _lu_solve(lu_piv, x)
     for iterations in range(1, MAX_ITER + 1):
+        sx = shifted @ x
         dx = deriv_mat @ x
-        energy = complex(-(x @ (shifted @ x)) / (x @ dx))
-        mat = ham.matrix(energy) - shift
-        residual = float(np.linalg.norm(mat @ x))
-        if residual <= RESIDUAL_TOL:
-            return Resonance(z_target, cfg.l, energy, True, iterations, residual)
-        x = solve(lu_factor(mat, check_finite=False), dx)
-    return Resonance(z_target, cfg.l, energy, False, MAX_ITER, residual)
+        energy = complex(-(x @ sx) / (x @ dx))
+        residual = float(np.linalg.norm(sx + energy * dx))
+        if residual <= RESIDUAL_TOL or iterations == MAX_ITER:
+            break
+        x = _lu_solve(_lu_factor(ham.matrix(energy, z_target)), dx)
+    return Resonance(z_target, cfg.l, energy, residual <= RESIDUAL_TOL, iterations, residual)
 
 
 def poles(ham: RotatedHamiltonian, z_target: float) -> np.ndarray:
@@ -139,7 +158,7 @@ def poles(ham: RotatedHamiltonian, z_target: float) -> np.ndarray:
     (S - Z_t, -D), sorted by (Re, Im). Raises EigensolverError when the QZ
     iteration fails.
     """
-    shifted = ham.matrix(0.0) - z_target * np.eye(ham.cfg.n_basis)
+    shifted = ham.matrix(0.0, z_target)
     try:
         values = scipy.linalg.eigvals(shifted, -ham.derivative, check_finite=False)
     except np.linalg.LinAlgError as exc:

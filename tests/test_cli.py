@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from chargeplane import reference, resonance
+from chargeplane import cli, reference, resonance
 from chargeplane.cli import main
 from chargeplane.hamiltonian import RotatedHamiltonian
 
@@ -38,6 +38,15 @@ NON_NUMERIC = {
     "stability.n_values": ["many"],
     "stability.tolerance": "tight",
     "table.tolerance": "loose",
+}
+
+OUT_OF_RANGE = {
+    "stability-tolerance-nan": ("stability.tolerance", float("nan")),
+    "stability-tolerance-inf": ("stability.tolerance", float("inf")),
+    "stability-tolerance-negative": ("stability.tolerance", -1e-8),
+    "table-tolerance-nan": ("table.tolerance", float("nan")),
+    "table-tolerance-negative": ("table.tolerance", -1e-6),
+    "stability-n_values-fractional": ("stability.n_values", [120.7]),
 }
 
 
@@ -258,6 +267,15 @@ class TestExitCodes:
         assert main(["scan", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", OUT_OF_RANGE)
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, case):
+        key, value = OUT_OF_RANGE[case]
+        section, name = key.split(".")
+        data = {**FIND, section: {name: value}}
+        cfg = _write_cfg(tmp_path, data)
+        assert main(["stability", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+
     def test_table_tolerance_failure(self, tmp_path, capsys):
         data = {
             "channel": {"l": 0, "n_basis": 200, "scale": 20.0, "theta": 0.7},
@@ -285,3 +303,39 @@ class TestTable:
         cfg = _write_cfg(tmp_path, data)
         assert main(["table", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
         assert sorted(built) == [0, 1, 2]
+
+
+class TestSharedAssembly:
+    def _count_assemblies(self, monkeypatch):
+        built = []
+
+        def counting(cfg, model):
+            built.append((cfg.scale, cfg.theta, cfg.n_basis))
+            return RotatedHamiltonian(cfg, model)
+
+        monkeypatch.setattr(cli, "RotatedHamiltonian", counting)
+        monkeypatch.setattr(resonance, "RotatedHamiltonian", counting)
+        return built
+
+    def test_find_assembles_once_for_all_targets(self, tmp_path, monkeypatch):
+        built = self._count_assemblies(monkeypatch)
+        cfg = _write_cfg(tmp_path, {**FIND, "scan": {**FIND["scan"], "z_targets": [0.0, 1.0]}})
+        assert main(["find", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
+        assert built == [(20.0, 0.7, 150)]
+
+    def test_stability_assembles_each_grid_point_once(self, tmp_path, monkeypatch):
+        # both targets converge, and the genuine Z = 0 pole visits every point
+        built = self._count_assemblies(monkeypatch)
+        data = {
+            **FIND,
+            "channel": {**FIND["channel"], "n_basis": 60},
+            "scan": {**FIND["scan"], "z_targets": [0.0, 1.0]},
+            "stability": {"lambda_values": [20.0, 25.0], "theta_values": [0.6, 0.7]},
+        }
+        cfg = _write_cfg(tmp_path, data)
+        out = tmp_path / "res"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        records = json.loads((out / "resonances.json").read_text())
+        assert [r["converged"] for r in records] == [True, True]
+        grid = [(20.0, 0.6, 60), (20.0, 0.7, 60), (25.0, 0.6, 60), (25.0, 0.7, 60)]
+        assert built == [(20.0, 0.7, 60)] + grid

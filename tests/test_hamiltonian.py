@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeplane import (
     ChannelConfig,
@@ -176,6 +178,29 @@ class TestRotatedHamiltonian:
         for e in (0.0, 2.5 - 1.0j, -0.5):
             direct = closed_form_reference(cfg, e) + potential_matrix(cfg, R2_EXP_POTENTIAL, rule)
             assert np.abs(ham.matrix(e) - direct).max() <= 1e-12 * max(1, np.abs(direct).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        l=st.integers(0, 3),
+        n=st.integers(1, 60),
+        scale=st.floats(1.0, 40.0),
+        theta=st.floats(0.0, 1.2),
+        energy=st.complex_numbers(max_magnitude=1e3),
+        z=st.sampled_from([-1.0, 0.0, 1.0, 2.5]),
+        model=st.sampled_from([ZERO_POTENTIAL, R2_EXP_POTENTIAL]),
+    )
+    def test_matrix_is_the_dense_expression(self, l, n, scale, theta, energy, z, model):
+        cfg = ChannelConfig(l=l, n_basis=n, scale=scale, theta=theta)
+        ham = RotatedHamiltonian(cfg, model)
+        lam, j_mat = cfg.rotated_scale, build_j_matrix(n, cfg.nu)
+        static = -(lam / 8) * np.abs(j_mat) + potential_matrix(
+            cfg, model, gauss_rule(cfg.quad_size, cfg.nu)
+        )
+        mat = ham.matrix(energy, z)
+        assert np.array_equal(mat, static + energy * ham.derivative - z * np.eye(n))
+        assert np.array_equal(mat, mat.T)
+        assert mat.flags.writeable
+        assert not np.shares_memory(mat, ham.matrix(energy, z))
 
     def test_derivative_shared(self):
         cfg = ChannelConfig(l=0, n_basis=10, scale=2.0, theta=0.3)

@@ -8,7 +8,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from scipy.linalg import lu_factor, lu_solve
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chargeplane import reference, resonance
@@ -18,6 +19,10 @@ from chargeplane.hamiltonian import RotatedHamiltonian
 from chargeplane.potential import R2_EXP_POTENTIAL, PotentialModel
 from chargeplane.reference import DEFAULT_CHANNEL, run_table
 from chargeplane.resonance import (
+    MAX_ITER,
+    RESIDUAL_TOL,
+    START_STEPS,
+    Resonance,
     StabilityReport,
     _refine_at_point,
     auto_search,
@@ -202,6 +207,85 @@ class TestRefineResonance:
                 refine_resonance(guess, 0.0, _cfg(n=20), R2_EXP_POTENTIAL)
             with pytest.raises(EigensolverError):
                 RotatedHamiltonian(_cfg(n=20), R2_EXP_POTENTIAL).matrix(guess)
+
+
+# The dense Rayleigh-quotient loop that forms M(E) - Z_t with an identity
+# shift, takes the residual by a third product, and factors through scipy's
+# wrappers: the oracle whose every energy, step count and verdict the lean
+# loop must reproduce exactly.
+def dense_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
+    shift = z_target * np.eye(cfg.n_basis)
+    shifted = ham.matrix(0.0) - shift
+    deriv_mat = ham.derivative
+
+    def solve(lu, rhs):
+        x = lu_solve(lu, rhs, check_finite=False)
+        norm = np.linalg.norm(x)
+        if not np.isfinite(norm):
+            raise EigensolverError(f"non-finite solve at order {len(x)}", order=len(x))
+        return x / norm
+
+    lu = lu_factor(ham.matrix(guess) - shift, check_finite=False)
+    x = np.ones(cfg.n_basis, dtype=complex)
+    for _ in range(START_STEPS):
+        x = solve(lu, x)
+    for iterations in range(1, MAX_ITER + 1):
+        dx = deriv_mat @ x
+        energy = complex(-(x @ (shifted @ x)) / (x @ dx))
+        mat = ham.matrix(energy) - shift
+        residual = float(np.linalg.norm(mat @ x))
+        if residual <= RESIDUAL_TOL:
+            return Resonance(z_target, cfg.l, energy, True, iterations, residual)
+        x = solve(lu_factor(mat, check_finite=False), dx)
+    return Resonance(z_target, cfg.l, energy, False, MAX_ITER, residual)
+
+
+class _SingularOperator:
+    """An operator whose M(E) - Z_t is diag(1, 0, 2) at every E: exactly singular."""
+
+    derivative = np.eye(3, dtype=complex)
+
+    def matrix(self, energy, z=0.0):
+        return np.diag([1.0, 0.0, 2.0]).astype(complex)
+
+
+class TestLeanStep:
+    # Guesses perturb pencil eigenvalues with |E| <= 100, the region any scan
+    # box lies in; the residual's rounding grows with |E| ||D||.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        l=st.integers(0, 2),
+        n=st.integers(5, 60),
+        scale=st.floats(10.0, 40.0),
+        theta=st.floats(0.1, 1.0),
+        z_target=st.sampled_from([-1.0, 0.0, 1.0]),
+        pick=st.integers(0, 10**6),
+        rel=st.complex_numbers(max_magnitude=1e-2),
+    )
+    def test_matches_the_dense_loop(self, l, n, scale, theta, z_target, pick, rel):
+        cfg = ChannelConfig(l=l, n_basis=n, scale=scale, theta=theta)
+        ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
+        listed = poles(ham, z_target)
+        listed = listed[np.abs(listed) <= 100]
+        assume(len(listed) > 0)
+        guess = listed[pick % len(listed)] * (1 + rel)
+        try:
+            dense = dense_refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
+        except EigensolverError:
+            with pytest.raises(EigensolverError):
+                refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
+            return
+        lean = refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
+        assert lean.energy == dense.energy
+        assert lean.iterations == dense.iterations
+        assert lean.converged == dense.converged
+        assert lean.residual == pytest.approx(dense.residual, rel=0, abs=1e-12)
+
+    def test_singular_matrix_raises_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolverError, match="singular"):
+                refine_resonance(1.0, 0.0, _cfg(n=3), EMPTY, ham=_SingularOperator())
 
 
 def _table1_poles():
