@@ -1,11 +1,11 @@
 """Command-line entry points.
 
 Subcommands: eigs, sweep, find, scan, stability, table. Physics parameters
-come from the YAML config (--config); flags cover only the output path, the
-sweep thread count (--threads) and plot emission (--svg), the last two on
-sweep only. scan lists the poles of each target charge from one pencil
-solve (`resonance.poles`) and refines and stability-checks them; sweep
-traces the charge trajectories that picture them. Exit codes: 0 success,
+come from the YAML config (--config); flags cover only the output path and
+plot emission (--svg, on sweep only). scan lists the poles of each target
+charge from one pencil solve (`resonance.poles`) and refines and
+stability-checks them; sweep traces the charge trajectories that picture
+them. Parallelism comes from BLAS alone. Exit codes: 0 success,
 1 physics tolerance failure, 2 configuration error, 3 solver failure.
 """
 
@@ -80,7 +80,7 @@ def cmd_eigs(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     grid = _require(cfg.scan.grid, "scan.grid")
-    trajectories = sweep(cfg.channel, cfg.potential, grid, threads=args.threads)
+    trajectories = sweep(cfg.channel, cfg.potential, grid)
     _write(args.out, "trajectories.csv", trajectories_to_csv(trajectories))
     if args.svg:
         _write(args.out, "trajectories.svg", trajectories_to_svg(trajectories))
@@ -186,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", default=None, help="output directory (default: stdout)")
         if name == "sweep":
-            p.add_argument("--threads", type=int, default=1, help="parallelism for sweeps")
             p.add_argument("--svg", action="store_true", help="also emit an SVG plot")
     return parser
 

@@ -1,7 +1,7 @@
 """Run configuration: a single YAML file with nested sections.
 
 The file is the archival record of a run: all physics parameters live here,
-while command-line flags cover only paths, verbosity and thread count.
+while command-line flags cover only output paths and plot emission.
 Unknown keys are rejected everywhere so a typo cannot silently change a run.
 """
 
@@ -14,7 +14,7 @@ import yaml
 
 from .basis import ChannelConfig
 from .errors import ChargePlaneError, ConfigError
-from .potential import PotentialModel, parse_potential, potential_to_config
+from .potential import PotentialModel, parse_integer, parse_potential, potential_to_config
 from .resonance import DEFAULT_IM_SCHEDULE
 from .trajectory import EnergyGrid
 
@@ -47,15 +47,8 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-def _integer(value) -> int:
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(number)
-
-
 def _ints(values) -> tuple[int, ...]:
-    return tuple(map(_integer, values))
+    return tuple(map(parse_integer, values))
 
 
 def _tolerance(value) -> float:
@@ -118,11 +111,13 @@ def parse_config(data: dict) -> RunConfig:
     _check_keys(ch, ("l", "n_basis", "scale", "theta", "quad_size"), "channel")
     try:
         channel = ChannelConfig(
-            l=int(ch.get("l", 0)),
-            n_basis=int(ch["n_basis"]),
+            l=_convert(parse_integer, ch.get("l", 0), "channel.l"),
+            n_basis=_convert(parse_integer, ch["n_basis"], "channel.n_basis"),
             scale=float(ch["scale"]),
             theta=float(ch.get("theta", 0.0)),
-            quad_size=int(ch["quad_size"]) if "quad_size" in ch else None,
+            quad_size=_convert(parse_integer, ch["quad_size"], "channel.quad_size")
+            if "quad_size" in ch
+            else None,
         )
     except KeyError as exc:
         raise ConfigError(f"channel section is missing {exc}") from exc
@@ -139,11 +134,13 @@ def parse_config(data: dict) -> RunConfig:
             grid = EnergyGrid(
                 re_start=float(g["re_start"]),
                 re_end=float(g["re_end"]),
-                steps=int(g["steps"]),
+                steps=_convert(parse_integer, g["steps"], "scan.grid.steps"),
                 im_part=float(g.get("im_part", 0.0)),
             )
         except KeyError as exc:
             raise ConfigError(f"scan.grid is missing {exc}") from exc
+        except ConfigError:
+            raise
         except (TypeError, ValueError, ChargePlaneError) as exc:
             raise ConfigError(f"scan.grid: {exc}") from exc
     im_schedule = _convert(_floats, sc.get("im_schedule", DEFAULT_IM_SCHEDULE), "scan.im_schedule")

@@ -29,7 +29,7 @@ TRACE_BOUND = 1e-10
 
 @dataclass(frozen=True)
 class EigenSet:
-    """Full spectrum with right eigenvectors and per-eigenpair residuals.
+    """Full spectrum with right eigenvectors.
 
     values are sorted by (Re, Im) ascending; vectors[:, n] pairs with
     values[n], has unit Euclidean norm, and its largest-magnitude component
@@ -38,7 +38,6 @@ class EigenSet:
 
     values: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)
-    residual_norms: np.ndarray = field(repr=False)
 
     def __len__(self):
         return len(self.values)
@@ -62,8 +61,10 @@ def _sorted_order(values: np.ndarray) -> np.ndarray:
 def eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a dense complex matrix, without eigenvectors.
 
-    Sorted like EigenSet.values. The matrix is overwritten, so pass one the
-    caller no longer needs (as sweeps do with a fresh M(E)). Raises
+    Sorted like EigenSet.values. LAPACK gets mat.T (same eigenvalues), which
+    is Fortran-ordered when mat is C-ordered, so a writable C-ordered matrix
+    is overwritten in place rather than copied; a read-only one is left
+    intact. Sweeps pass a fresh M(E). Raises
     EigensolverError on LAPACK non-convergence, on non-finite values, or
     when |sum(z) - tr M| exceeds TRACE_BOUND * ||M||_F, the O(N^2) check
     that stands in for eigen_decompose's per-eigenpair residuals.
@@ -73,7 +74,7 @@ def eigenvalues(mat: np.ndarray) -> np.ndarray:
     trace = complex(np.trace(mat))
     scale = float(np.linalg.norm(mat, "fro"))
     try:
-        values = scipy.linalg.eigvals(mat, overwrite_a=True, check_finite=False)
+        values = scipy.linalg.eigvals(mat.T, overwrite_a=mat.flags.writeable, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"QR iteration failed at order {n}: {exc}", order=n) from exc
     if not np.all(np.isfinite(values)):
@@ -124,8 +125,7 @@ def eigen_decompose(mat: np.ndarray) -> EigenSet:
         )
     values.setflags(write=False)
     vectors.setflags(write=False)
-    residuals.setflags(write=False)
-    return EigenSet(values=values, vectors=vectors, residual_norms=residuals)
+    return EigenSet(values=values, vectors=vectors)
 
 
 def eigenvalue_derivative(mat_prime: np.ndarray, x: np.ndarray) -> complex:

@@ -55,10 +55,10 @@ class RotatedHamiltonian:
     """The one assembly of M(E) = S + E*D for a channel and potential.
 
     S and D are computed once from the J matrix and the cached Gauss rule of
-    the channel. Both are immutable after construction, so one instance is
-    safe to share across a parallel sweep. D is tridiagonal, so matrix(E, z)
-    costs one copy of S plus O(N) updates on D's three bands, and returns a
-    fresh, writable array that is exactly symmetric.
+    the channel. Both are read-only after construction, so one instance
+    serves every energy of a sweep or refinement. D is tridiagonal, so
+    matrix(E, z) costs one copy of S plus O(N) updates on D's three bands,
+    and returns a fresh, writable array that is exactly symmetric.
     """
 
     def __init__(self, cfg: ChannelConfig, model: PotentialModel):

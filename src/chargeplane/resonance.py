@@ -289,7 +289,7 @@ def auto_search(
         )
     if not re_lo < re_hi:
         raise ChargePlaneError(f"search requires re_start < re_end, got [{re_lo}, {re_hi}]")
-    if not z_targets or not im_schedule:
+    if len(z_targets) == 0 or len(im_schedule) == 0:
         return []
     im_lo = min(im_schedule)
     ham = RotatedHamiltonian(cfg, model)

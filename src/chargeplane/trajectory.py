@@ -2,15 +2,13 @@
 
 Each energy sample yields N eigenvalues whose ordering is solver-dependent,
 so consecutive samples are stitched into continuous branches by greedy
-nearest-pair matching. Eigensolves are independent per sample (phase 1) and
-values-only (`eigensolver.eigenvalues`, checked by the trace sum, no
-eigenvectors); matching is sequential over the ordered grid (phase 2), so
-the result is identical at any degree of parallelism.
+nearest-pair matching. Each sample is one values-only eigensolve
+(`eigensolver.eigenvalues`, checked by the trace sum, no eigenvectors), and
+its parallel work runs inside LAPACK/BLAS.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,14 +56,14 @@ class Trajectory:
     discontinuities: tuple[int, ...] = ()
 
 
-def match_step(prev, nxt, threshold: float | None = None):
+def match_step(prev, nxt):
     """Greedy minimum-distance assignment between two eigenvalue sets.
 
     Repeatedly pairs the globally closest unmatched (prev, next) eigenvalues,
     ties broken by the lower prev index, then the lower next index. Returns
     (perm, flagged) where perm[i] is the index in nxt matched to prev[i] and
-    flagged lists prev-indices whose pair distance exceeds the threshold
-    (default 5x the median matched distance).
+    flagged lists prev-indices whose pair distance exceeds 5x the median
+    matched distance (none when that median is 0).
 
     The greedy order is run in rounds: under the total order on keys
     (distance, i, j), a pair that is the key-minimum of both its row and its
@@ -96,9 +94,8 @@ def match_step(prev, nxt, threshold: float | None = None):
         rows, cols = rows[~mutual], cols[free_cols]
         sub = sub[~mutual][:, free_cols]
     pair_dist = dist[np.arange(n), perm]
-    if threshold is None:
-        med = float(np.median(pair_dist))
-        threshold = 5 * med if med > 0 else np.inf
+    med = float(np.median(pair_dist))
+    threshold = 5 * med if med > 0 else np.inf
     flagged = tuple(int(i) for i in np.nonzero(pair_dist > threshold)[0])
     return perm, flagged
 
@@ -107,7 +104,6 @@ def sweep(
     cfg: ChannelConfig,
     model: PotentialModel,
     grid: EnergyGrid,
-    threads: int = 1,
     ham: RotatedHamiltonian | None = None,
 ) -> list[Trajectory]:
     """Trace all N eigenvalue branches over the energy grid.
@@ -118,18 +114,12 @@ def sweep(
     if ham is None:
         ham = RotatedHamiltonian(cfg, model)
     energies = grid.energies()
-
-    def solve(e):
+    eigensets = []
+    for e in energies:
         try:
-            return eigenvalues(ham.matrix(e))
+            eigensets.append(eigenvalues(ham.matrix(e)))
         except EigensolverError as exc:
             raise EigensolverError(f"eigensolve failed at E = {e}: {exc}", exc.order) from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            eigensets = list(pool.map(solve, energies))
-    else:
-        eigensets = [solve(e) for e in energies]
 
     n = cfg.n_basis
     paths = np.empty((n, len(energies)), dtype=complex)

@@ -40,13 +40,35 @@ NON_NUMERIC = {
     "table.tolerance": "loose",
 }
 
+# case -> (what the error message names, sections that replace FIND's)
 OUT_OF_RANGE = {
-    "stability-tolerance-nan": ("stability.tolerance", float("nan")),
-    "stability-tolerance-inf": ("stability.tolerance", float("inf")),
-    "stability-tolerance-negative": ("stability.tolerance", -1e-8),
-    "table-tolerance-nan": ("table.tolerance", float("nan")),
-    "table-tolerance-negative": ("table.tolerance", -1e-6),
-    "stability-n_values-fractional": ("stability.n_values", [120.7]),
+    "stability-tolerance-nan": ("stability.tolerance", {"stability": {"tolerance": float("nan")}}),
+    "stability-tolerance-inf": ("stability.tolerance", {"stability": {"tolerance": float("inf")}}),
+    "stability-tolerance-negative": ("stability.tolerance", {"stability": {"tolerance": -1e-8}}),
+    "table-tolerance-nan": ("table.tolerance", {"table": {"tolerance": float("nan")}}),
+    "table-tolerance-negative": ("table.tolerance", {"table": {"tolerance": -1e-6}}),
+    "stability-n_values-fractional": ("stability.n_values", {"stability": {"n_values": [120.7]}}),
+    "channel-l-fractional": ("channel.l", {"channel": {**FIND["channel"], "l": 0.9}}),
+    "channel-n_basis-fractional": (
+        "channel.n_basis",
+        {"channel": {**FIND["channel"], "n_basis": 120.7}},
+    ),
+    "channel-quad_size-fractional": (
+        "channel.quad_size",
+        {"channel": {**FIND["channel"], "quad_size": 150.5}},
+    ),
+    "scan-grid-steps-fractional": (
+        "scan.grid.steps",
+        {"scan": {**FIND["scan"], "grid": {"re_start": 1.0, "re_end": 5.0, "steps": 10.5}}},
+    ),
+    "potential-p-fractional": (
+        "potential term 0: p",
+        {"potential": [{"c": 7.5, "p": 2.5, "b": 1.0, "q": 1}]},
+    ),
+    "potential-q-fractional": (
+        "potential term 0: q",
+        {"potential": [{"c": 7.5, "p": 2, "b": 1.0, "q": 1.5}]},
+    ),
 }
 
 
@@ -234,8 +256,9 @@ class TestExitCodes:
             ("find", ["--svg"]),
             ("scan", ["--threads", "2"]),
             ("scan", ["--svg"]),
+            ("sweep", ["--threads", "2"]),
         ],
-        ids=["flag0", "flag1", "scan-threads", "scan-svg"],
+        ids=["flag0", "flag1", "scan-threads", "scan-svg", "sweep-threads"],
     )
     def test_flag_rejected_where_unused(self, tmp_path, command, flag):
         cfg = _write_cfg(tmp_path, FIND)
@@ -269,12 +292,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", OUT_OF_RANGE)
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, case):
-        key, value = OUT_OF_RANGE[case]
-        section, name = key.split(".")
-        data = {**FIND, section: {name: value}}
-        cfg = _write_cfg(tmp_path, data)
+        named, sections = OUT_OF_RANGE[case]
+        cfg = _write_cfg(tmp_path, {**FIND, **sections})
         assert main(["stability", "--config", cfg]) == 2
-        assert key in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_table_tolerance_failure(self, tmp_path, capsys):
         data = {

@@ -48,7 +48,8 @@ class TestDecompose:
         es = eigen_decompose(mat)
         keys = list(zip(es.values.real, es.values.imag))
         assert keys == sorted(keys)
-        assert np.all(es.residual_norms <= 1e-10 * np.linalg.norm(mat, "fro"))
+        residuals = np.linalg.norm(mat @ es.vectors - es.vectors * es.values, axis=0)
+        assert np.all(residuals <= 1e-10 * np.linalg.norm(mat, "fro"))
 
     def test_deterministic_phase(self):
         rng = np.random.default_rng(3)
@@ -98,6 +99,16 @@ class TestEigenvalues:
         vals = eigenvalues(mat.copy())
         assert not vals.flags.writeable
         assert np.abs(vals - eigen_decompose(mat).values).max() <= 1e-10 * np.linalg.norm(mat)
+
+    def test_overwrites_writable_input_and_spares_read_only(self):
+        ham = RotatedHamiltonian(ChannelConfig(l=0, n_basis=40, scale=20.0), PotentialModel())
+        mat = ham.matrix(3.0 - 0.1j)
+        read_only = mat.copy()
+        read_only.setflags(write=False)
+        vals = eigenvalues(mat)
+        assert not np.array_equal(mat, read_only)  # consumed in place, not copied
+        assert np.array_equal(eigenvalues(read_only), vals)
+        assert np.array_equal(read_only, ham.matrix(3.0 - 0.1j))
 
     def test_trace_check_failure_raises_without_warnings(self, monkeypatch):
         true_eigvals = scipy.linalg.eigvals

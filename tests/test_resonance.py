@@ -477,6 +477,21 @@ class TestAutoSearch:
     def test_empty_schedule_is_an_empty_region(self):
         assert auto_search(_cfg(n=40), R2_EXP_POTENTIAL, [0.0], im_schedule=()) == []
 
+    def test_array_inputs_match_lists(self):
+        cfg = _cfg(n=20)
+        as_lists = auto_search(
+            cfg, R2_EXP_POTENTIAL, [0.0, 1.0], im_schedule=[-0.1, -10.0], run_stability=False
+        )
+        as_arrays = auto_search(
+            cfg,
+            R2_EXP_POTENTIAL,
+            np.array([0.0, 1.0]),
+            im_schedule=np.array([-0.1, -10.0]),
+            run_stability=False,
+        )
+        assert as_lists
+        assert as_arrays == as_lists
+
     @pytest.mark.parametrize(
         "kwargs",
         [

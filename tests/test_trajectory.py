@@ -177,11 +177,13 @@ class TestSweep:
             assert np.abs(swept - full).max() <= 1e-10 * np.linalg.norm(mat, "fro")
 
     def test_parallel_matches_serial_exactly(self):
+        # BLAS is a sweep's only parallelism: two sweeps of one grid agree
+        # bit for bit
         cfg = ChannelConfig(l=0, n_basis=40, scale=20.0, theta=0.7, quad_size=40)
         grid = EnergyGrid(re_start=1.0, re_end=5.0, steps=6, im_part=-0.5)
-        serial = sweep(cfg, GAUSSIAN_WELL_POTENTIAL, grid)
-        parallel = sweep(cfg, GAUSSIAN_WELL_POTENTIAL, grid, threads=4)
-        for a, b in zip(serial, parallel):
+        first = sweep(cfg, GAUSSIAN_WELL_POTENTIAL, grid)
+        second = sweep(cfg, GAUSSIAN_WELL_POTENTIAL, grid)
+        for a, b in zip(first, second, strict=True):
             assert a.branch_id == b.branch_id
             assert np.array_equal(a.z_values, b.z_values)
             assert a.discontinuities == b.discontinuities
