@@ -5,23 +5,24 @@ come from the YAML config (--config); flags cover only the output path and
 plot emission (--svg, on sweep only). scan lists the poles of each target
 charge from one pencil solve (`resonance.poles`) and refines and
 stability-checks them; sweep traces the charge trajectories that picture
-them. Parallelism comes from BLAS alone. Exit codes: 0 success,
-1 physics tolerance failure, 2 configuration error, 3 solver failure.
+them. `main` runs OpenBLAS at one thread, so outputs do not depend on the
+host's BLAS threading. Exit codes: 0 success, 1 physics tolerance failure,
+2 configuration error, 3 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import ctypes
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
-from .basis import ChannelConfig
 from .config import RunConfig, load_config
 from .eigensolver import eigen_decompose
 from .errors import ChargePlaneError, ConfigError, EigensolverError
-from .hamiltonian import RotatedHamiltonian
 from .output import (
     eigenvalues_to_lines,
     resonances_to_json,
@@ -34,6 +35,7 @@ from .resonance import (
     auto_search,
     outside_exposure_window,
     refine_resonance,
+    shared_hamiltonian,
 )
 from .trajectory import sweep
 
@@ -72,7 +74,7 @@ def _warn_unexposed(results, theta: float):
 
 def cmd_eigs(cfg: RunConfig, args) -> int:
     energy = _require(cfg.scan.energy, "scan.energy")
-    ham = RotatedHamiltonian(cfg.channel, cfg.potential)
+    ham = shared_hamiltonian(cfg.channel, cfg.potential)
     eigenset = eigen_decompose(ham.matrix(energy))
     _write(args.out, "eigenvalues.csv", eigenvalues_to_lines(eigenset.values))
     return EXIT_OK
@@ -92,9 +94,8 @@ def _refine_targets(cfg: RunConfig) -> list:
     guess = _require(cfg.scan.guess, "scan.guess")
     if not cfg.scan.z_targets:
         raise ConfigError("this command requires scan.z_targets in the config")
-    ham = RotatedHamiltonian(cfg.channel, cfg.potential)
     return [
-        refine_resonance(guess, target, cfg.channel, cfg.potential, ham)
+        refine_resonance(guess, target, cfg.channel, cfg.potential)
         for target in cfg.scan.z_targets
     ]
 
@@ -141,9 +142,8 @@ def cmd_stability(cfg: RunConfig, args) -> int:
 def cmd_table(cfg: RunConfig, args) -> int:
     status = EXIT_OK
     chunks = []
-    hams = {}  # one assembly per l, shared by all tables
     for table in cfg.table.tables:
-        rows = run_table(table, tolerance=cfg.table.tolerance, hams=hams)
+        rows = run_table(table, tolerance=cfg.table.tolerance)
         chunks.append(f"== {table} ==\n" + format_table(rows))
         failing = [r for r in rows if not r.ok]
         if failing:
@@ -190,7 +190,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS loaded into this
+    process; numpy and scipy each bundle their own. Empty where none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
 def main(argv=None) -> int:
+    """Run one command with every loaded OpenBLAS at one thread, then
+    restore the previous thread counts."""
+    saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+    for set_, _ in saved:
+        set_(1)
+    try:
+        return _run(argv)
+    finally:
+        for set_, threads in saved:
+            set_(threads)
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -54,11 +54,12 @@ def potential_matrix(
 class RotatedHamiltonian:
     """The one assembly of M(E) = S + E*D for a channel and potential.
 
-    S and D are computed once from the J matrix and the cached Gauss rule of
-    the channel. Both are read-only after construction, so one instance
-    serves every energy of a sweep or refinement. D is tridiagonal, so
-    matrix(E, z) costs one copy of S plus O(N) updates on D's three bands,
-    and returns a fresh, writable array that is exactly symmetric.
+    S is computed once from the J matrix and the cached Gauss rule of the
+    channel; D is tridiagonal and kept as its three bands. Both are
+    read-only, so one instance serves every energy, and
+    `resonance.shared_hamiltonian` shares one per (channel, potential) in a
+    process. matrix(E, z) costs one copy of S plus O(N) updates on D's
+    bands, and returns a fresh, writable array that is exactly symmetric.
     """
 
     def __init__(self, cfg: ChannelConfig, model: PotentialModel):
@@ -67,12 +68,11 @@ class RotatedHamiltonian:
         lam = cfg.rotated_scale
         j_mat = build_j_matrix(cfg.n_basis, cfg.nu)
         rule = gauss_rule(cfg.quad_size, cfg.nu)
-        self._dh_de = j_mat / lam
         self._static = -(lam / 8) * np.abs(j_mat) + potential_matrix(cfg, model, rule)
-        self._dh_de.setflags(write=False)
-        self._static.setflags(write=False)
-        self._d_diag = np.diagonal(self._dh_de).copy()
-        self._d_off = np.diagonal(self._dh_de, 1).copy()
+        self._d_diag = np.diagonal(j_mat) / lam
+        self._d_off = np.diagonal(j_mat, 1) / lam
+        for arr in (self._static, self._d_diag, self._d_off):
+            arr.setflags(write=False)
 
     def matrix(self, energy: complex, z: float = 0.0) -> np.ndarray:
         """A fresh, writable M(E) - z*I, exactly symmetric.
@@ -95,5 +95,12 @@ class RotatedHamiltonian:
 
     @property
     def derivative(self) -> np.ndarray:
-        """D = dM/dE, shared read-only array."""
-        return self._dh_de
+        """D = dM/dE = J / lambda', a fresh read-only array built from its bands."""
+        n = self.cfg.n_basis
+        mat = np.zeros((n, n), dtype=complex)
+        flat = mat.reshape(-1)
+        flat[:: n + 1] = self._d_diag
+        flat[1 :: n + 1] = self._d_off
+        flat[n :: n + 1] = self._d_off
+        mat.setflags(write=False)
+        return mat

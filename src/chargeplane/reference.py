@@ -3,7 +3,8 @@
 Reference resonance values ship as a versioned data file with per-row
 provenance; comparisons run the standard refinement from a coarse guess
 (reference rounded to two decimals) so agreement is a genuine recomputation,
-not an echo of the stored value.
+not an echo of the stored value. Rows of one channel share its cached
+assembly (`resonance.shared_hamiltonian`), within a table and across tables.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from importlib import resources
 
 from .basis import ChannelConfig
 from .errors import ConfigError
-from .hamiltonian import RotatedHamiltonian
 from .potential import R2_EXP_POTENTIAL
 from .resonance import refine_resonance
 
@@ -64,23 +64,13 @@ class TableRow:
         )
 
 
-def run_table(
-    table: str,
-    tolerance: float | None = None,
-    hams: dict[int, RotatedHamiltonian] | None = None,
-) -> list[TableRow]:
+def run_table(table: str, tolerance: float | None = None) -> list[TableRow]:
     """Recompute every row of a built-in table and compare.
 
     tolerance overrides the per-row default (absolute, applied to both E_r
-    and Gamma). `hams` maps l to the channel's RotatedHamiltonian; a missing
-    channel is assembled once and added to it, so callers that pass the same
-    dict to several tables assemble each channel once.
+    and Gamma).
     """
     rows = load_reference_rows(table)
-    if hams is None:
-        hams = {}
-    for l in sorted({row["l"] for row in rows} - hams.keys()):
-        hams[l] = RotatedHamiltonian(ChannelConfig(l=l, **DEFAULT_CHANNEL), R2_EXP_POTENTIAL)
     results = []
     for row in rows:
         e_r = float(row["e_r"])
@@ -92,11 +82,11 @@ def run_table(
         else:
             tol_e = last_digit_tolerance(row["e_r"])
             tol_g = last_digit_tolerance(row["gamma"])
-        ham = hams[row["l"]]
+        cfg = ChannelConfig(l=row["l"], **DEFAULT_CHANNEL)
         # Coarse guess: 2 decimals in E_r, 2 significant digits in Gamma, so
         # the comparison is a real recomputation rather than an echo.
         guess = round(e_r, 2) - 0.5j * float(f"{gamma:.2g}")
-        res = refine_resonance(guess, float(row["z"]), ham.cfg, R2_EXP_POTENTIAL, ham=ham)
+        res = refine_resonance(guess, float(row["z"]), cfg, R2_EXP_POTENTIAL)
         results.append(
             TableRow(
                 z=float(row["z"]),

@@ -8,12 +8,17 @@ affine in E, every such E is a generalized eigenvalue of the pencil
 (S - Z, -D); one dense pencil solve lists them all, each seeds a Newton
 iteration on E, and accepted poles must sit on a plateau under variations of
 (lambda, theta, N).
+
+Refinement and `auto_search` share one assembly per (channel, potential)
+through `shared_hamiltonian`; each stability grid point assembles its own,
+so a stability pass never fills that cache.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +32,7 @@ RESIDUAL_TOL = 1e-10
 MAX_ITER = 50
 START_STEPS = 3
 DEDUP_TOL = 1e-6
+ASSEMBLY_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,13 @@ class Resonance:
     @property
     def gamma(self) -> float:
         return -2.0 * self.energy.imag
+
+
+@lru_cache(maxsize=ASSEMBLY_CACHE_SIZE)
+def shared_hamiltonian(cfg: ChannelConfig, model: PotentialModel) -> RotatedHamiltonian:
+    """The RotatedHamiltonian of (cfg, model), assembled once per process for
+    the ASSEMBLY_CACHE_SIZE most recent keys; its arrays are read-only."""
+    return RotatedHamiltonian(cfg, model)
 
 
 def outside_exposure_window(energy: complex, theta: float) -> bool:
@@ -126,19 +139,24 @@ def refine_resonance(
     that backward error, with ||x|| = 1, is at most RESIDUAL_TOL; after
     MAX_ITER steps without that, non-convergence is reported in-band
     (converged = False). Raises EigensolverError on a non-finite guess, an
-    exactly singular M(E) - Z_t, or a non-finite solve.
+    exactly singular M(E) - Z_t, or a non-finite solve. `ham`, if given,
+    must assemble (cfg, model); without it the operator is
+    shared_hamiltonian(cfg, model).
     """
     if not np.isfinite(guess):
         raise EigensolverError(f"non-finite energy guess {guess}")
     if ham is None:
-        ham = RotatedHamiltonian(cfg, model)
-    shifted = ham.matrix(0.0, z_target)
-    deriv_mat = ham.derivative
-
+        ham = shared_hamiltonian(cfg, model)
     lu_piv = _lu_factor(ham.matrix(guess, z_target))
     x = np.ones(cfg.n_basis, dtype=complex)
     for _ in range(START_STEPS):
         x = _lu_solve(lu_piv, x)
+    # Freed before S - Z_t and D are formed: with a fourth operator-sized
+    # array live, the allocator (glibc) gave the memory back on return and
+    # page-faulted it in again on every call.
+    del lu_piv
+    shifted = ham.matrix(0.0, z_target)
+    deriv_mat = ham.derivative
     for iterations in range(1, MAX_ITER + 1):
         sx = shifted @ x
         dx = deriv_mat @ x
@@ -170,7 +188,7 @@ def poles(ham: RotatedHamiltonian, z_target: float) -> np.ndarray:
 
 def _refine_at_point(found, cfg: ChannelConfig, model: PotentialModel) -> list[tuple]:
     """(energy, converged) of each resonance re-refined at one grid point, all
-    on one assembly: the operator refine_resonance would build for each alone."""
+    on one fresh assembly, which is not cached and is freed with the point."""
     try:
         ham = RotatedHamiltonian(cfg, model)
     except EigensolverError:
@@ -278,9 +296,9 @@ def auto_search(
     here is fatal. With run_stability, each pole gets the stability_scan
     report of the 3 x 3 (lambda, theta) grid around cfg, all poles sharing
     one assembly per grid point; a pole leaves the grid at the point that
-    settles its verdict. `steps` and `window` are accepted for existing
-    callers and configs and have no effect. Output is ordered by
-    (z_target, E_r).
+    settles its verdict. `steps` and `window` have no effect; they are kept
+    because configs and the benchmark's workloads pass them. Output is
+    ordered by (z_target, E_r).
     """
     re_lo, re_hi = re_range
     if not np.all(np.isfinite([re_lo, re_hi, *im_schedule])):
@@ -292,7 +310,7 @@ def auto_search(
     if len(z_targets) == 0 or len(im_schedule) == 0:
         return []
     im_lo = min(im_schedule)
-    ham = RotatedHamiltonian(cfg, model)
+    ham = shared_hamiltonian(cfg, model)
     found: list[Resonance] = []
     for target in map(float, z_targets):
         for guess in poles(ham, target):

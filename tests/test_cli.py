@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from chargeplane import cli, reference, resonance
+from chargeplane import cli, resonance
 from chargeplane.cli import main
 from chargeplane.hamiltonian import RotatedHamiltonian
 
@@ -315,7 +315,6 @@ class TestTable:
             built.append(cfg.l)
             return RotatedHamiltonian(cfg, model)
 
-        monkeypatch.setattr(reference, "RotatedHamiltonian", counting)
         monkeypatch.setattr(resonance, "RotatedHamiltonian", counting)
         data = {
             "channel": {"l": 0, "n_basis": 200, "scale": 20.0, "theta": 0.7},
@@ -334,7 +333,6 @@ class TestSharedAssembly:
             built.append((cfg.scale, cfg.theta, cfg.n_basis))
             return RotatedHamiltonian(cfg, model)
 
-        monkeypatch.setattr(cli, "RotatedHamiltonian", counting)
         monkeypatch.setattr(resonance, "RotatedHamiltonian", counting)
         return built
 
@@ -360,3 +358,29 @@ class TestSharedAssembly:
         assert [r["converged"] for r in records] == [True, True]
         grid = [(20.0, 0.6, 60), (20.0, 0.7, 60), (25.0, 0.6, 60), (25.0, 0.7, 60)]
         assert built == [(20.0, 0.7, 60)] + grid
+
+
+class TestBlasPin:
+    def test_one_thread_inside_main_and_restored_after(self, tmp_path, monkeypatch):
+        controls = cli._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded in this process")
+        saved = [get() for get, _ in controls]
+        seen = []
+
+        def recording(cfg, args):
+            seen.append([get() for get, _ in controls])
+            return cli.EXIT_OK
+
+        monkeypatch.setitem(cli._COMMANDS, "eigs", recording)
+        try:
+            for _, set_ in controls:
+                set_(2)
+            outside = [get() for get, _ in controls]
+            assert main(["eigs", "--config", _write_cfg(tmp_path, HYDROGEN)]) == 0
+            after = [get() for get, _ in controls]
+        finally:
+            for (_, set_), threads in zip(controls, saved):
+                set_(threads)
+        assert seen == [[1] * len(controls)]
+        assert after == outside

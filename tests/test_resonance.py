@@ -12,11 +12,11 @@ from scipy.linalg import lu_factor, lu_solve
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chargeplane import reference, resonance
+from chargeplane import resonance
 from chargeplane.basis import ChannelConfig
 from chargeplane.errors import ChargePlaneError, EigensolverError
 from chargeplane.hamiltonian import RotatedHamiltonian
-from chargeplane.potential import R2_EXP_POTENTIAL, PotentialModel
+from chargeplane.potential import GAUSSIAN_WELL_POTENTIAL, R2_EXP_POTENTIAL, PotentialModel
 from chargeplane.reference import DEFAULT_CHANNEL, run_table
 from chargeplane.resonance import (
     MAX_ITER,
@@ -29,6 +29,7 @@ from chargeplane.resonance import (
     outside_exposure_window,
     poles,
     refine_resonance,
+    shared_hamiltonian,
     stability_scan,
 )
 from chargeplane.trajectory import EnergyGrid, Trajectory, sweep
@@ -301,11 +302,66 @@ class TestRunTable:
             built.append(cfg.l)
             return RotatedHamiltonian(cfg, model)
 
-        monkeypatch.setattr(reference, "RotatedHamiltonian", counting, raising=False)
         monkeypatch.setattr(resonance, "RotatedHamiltonian", counting)
         rows = run_table(table)
         assert all(r.ok for r in rows)
         assert sorted(built) == sorted({r.l for r in rows})
+
+
+class TestSharedHamiltonian:
+    # theta = -0.0 is an equal cache key to theta = 0.0 but a different
+    # float, so the cache may hand out the twin's assembly
+    @settings(max_examples=40, deadline=None)
+    @given(
+        l=st.integers(0, 3),
+        n=st.integers(1, 40),
+        scale=st.floats(0.5, 40.0),
+        theta=st.sampled_from([-0.0, 0.0, 0.3, 0.7]),
+        model=st.sampled_from([EMPTY, R2_EXP_POTENTIAL, GAUSSIAN_WELL_POTENTIAL]),
+        energy=st.complex_numbers(max_magnitude=50.0),
+        z=st.floats(-5.0, 5.0),
+    )
+    def test_cached_equals_fresh(self, l, n, scale, theta, model, energy, z):
+        cfg = ChannelConfig(l=l, n_basis=n, scale=scale, theta=theta)
+        shared_hamiltonian(replace(cfg, theta=-theta) if theta == 0 else cfg, model)
+        cached = shared_hamiltonian(cfg, model)
+        fresh = RotatedHamiltonian(cfg, model)
+        assert np.array_equal(cached.matrix(energy, z), fresh.matrix(energy, z))
+        assert np.array_equal(cached.derivative, fresh.derivative)
+
+    def test_refinement_equals_explicit_fresh_assembly(self):
+        cfg = _cfg(n=60)
+        fresh = refine_resonance(3.43 - 0.01j, 0.0, cfg, R2_EXP_POTENTIAL,
+                                 ham=RotatedHamiltonian(cfg, R2_EXP_POTENTIAL))
+        cold = refine_resonance(3.43 - 0.01j, 0.0, cfg, R2_EXP_POTENTIAL)
+        warm = refine_resonance(3.43 - 0.01j, 0.0, cfg, R2_EXP_POTENTIAL)
+        assert fresh.converged
+        assert cold == fresh
+        assert warm == fresh
+        assert shared_hamiltonian.cache_info().misses == 1
+
+    def test_cached_arrays_read_only_and_matrix_fresh(self):
+        ham = shared_hamiltonian(_cfg(n=10), R2_EXP_POTENTIAL)
+        derivative = ham.derivative
+        assert not derivative.flags.writeable
+        with pytest.raises(ValueError):
+            derivative[0, 0] = 1.0
+        for arr in (ham._static, ham._d_diag, ham._d_off):
+            assert not arr.flags.writeable
+        first = ham.matrix(1.0 - 0.5j)
+        assert first.flags.writeable
+        first[:] = 0.0
+        assert np.array_equal(ham.matrix(1.0 - 0.5j), RotatedHamiltonian(
+            _cfg(n=10), R2_EXP_POTENTIAL).matrix(1.0 - 0.5j))
+
+    def test_stability_grid_leaves_only_the_base_entry(self):
+        cfg = _cfg(n=40)
+        found = auto_search(cfg, R2_EXP_POTENTIAL, [0.0])
+        assert found and all(r.stability is not None for r in found)
+        assert shared_hamiltonian.cache_info().currsize == 1
+        misses = shared_hamiltonian.cache_info().misses
+        shared_hamiltonian(cfg, R2_EXP_POTENTIAL)
+        assert shared_hamiltonian.cache_info().misses == misses
 
 
 def _criterion_2_poles():
@@ -560,7 +616,6 @@ class TestAutoSearch:
             EMPTY,
             [0.0],
             im_schedule=(-0.1, -1.0),
-            steps=21,
             run_stability=False,
         )
         for r in found:
@@ -573,7 +628,6 @@ class TestAutoSearch:
             _cfg(n=150),
             R2_EXP_POTENTIAL,
             [0.0],
-            steps=51,
             run_stability=False,
         )
         expected = [
@@ -593,7 +647,6 @@ class TestAutoSearch:
             _cfg(n=150),
             R2_EXP_POTENTIAL,
             [0.0],
-            steps=51,
             run_stability=False,
         )
         reals = [r.e_r for r in found]
