@@ -47,8 +47,17 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(map(parse_integer, values))
+def _grid_values(convert, valid, expected: str):
+    """A parser of one stability grid list: every entry converted and checked,
+    whether or not a scan ever reaches it."""
+
+    def parse(values) -> tuple:
+        out = tuple(map(convert, values))
+        if not all(map(valid, out)):
+            raise ValueError(f"expected {expected}, got {list(out)}")
+        return out
+
+    return parse
 
 
 def _tolerance(value) -> float:
@@ -157,10 +166,13 @@ def parse_config(data: dict) -> RunConfig:
 
     st = data.get("stability", {}) or {}
     _check_keys(st, ("lambda_values", "theta_values", "n_values", "tolerance"), "stability")
+    lambdas = _grid_values(float, lambda v: 0 < v < math.inf, "finite values > 0")
+    thetas = _grid_values(float, lambda v: 0 <= v < math.pi / 2, "values in [0, pi/2)")
+    ns = _grid_values(parse_integer, lambda v: v >= 1, "integers >= 1")
     stability = StabilityConfig(
-        lambda_values=_convert(_floats, st.get("lambda_values", ()), "stability.lambda_values"),
-        theta_values=_convert(_floats, st.get("theta_values", ()), "stability.theta_values"),
-        n_values=_convert(_ints, st.get("n_values", ()), "stability.n_values"),
+        lambda_values=_convert(lambdas, st.get("lambda_values", ()), "stability.lambda_values"),
+        theta_values=_convert(thetas, st.get("theta_values", ()), "stability.theta_values"),
+        n_values=_convert(ns, st.get("n_values", ()), "stability.n_values"),
         tolerance=_convert(_tolerance, st.get("tolerance", 1e-8), "stability.tolerance"),
     )
 

@@ -10,7 +10,9 @@ iteration on E, and accepted poles must sit on a plateau under variations of
 (lambda, theta, N).
 
 Refinement and `auto_search` share one assembly per (channel, potential)
-through `shared_hamiltonian`; each stability grid point assembles its own,
+through `shared_hamiltonian`. A stability pass visits the channel's own
+grid point first and takes the converged pole itself as its entry, with no
+assembly or refinement; every other grid point assembles its own operator,
 so a stability pass never fills that cache.
 """
 
@@ -39,11 +41,16 @@ ASSEMBLY_CACHE_SIZE = 4
 class StabilityReport:
     """Re-refinement of one resonance over a (lambda, theta, N) grid.
 
-    A plateau report lists every grid point. Any other report lists the grid
-    in order up to and including the point that settled its verdict: the
-    first that failed to converge, or whose energy lay more than the
-    tolerance from an earlier converged one. max_deviation is the maximum
-    pairwise |dE| over the converged points listed.
+    Entries are in visiting order: when the grid holds the channel's own
+    point (cfg.scale, cfg.theta, cfg.n_basis), that point comes first with
+    the pole's own energy, then the other points at cfg.theta, then the
+    rest, each group in itertools.product order; any other grid is visited
+    in product order. A plateau report lists every grid point. Any other
+    report lists the visited points up to and including the one that
+    settled its verdict: the first that failed to converge, or whose energy
+    lay more than the tolerance from an earlier converged one.
+    max_deviation is the maximum pairwise |dE| over the converged points
+    listed.
     """
 
     entries: tuple = ()  # (lambda, theta, N, energy, converged) tuples
@@ -209,21 +216,40 @@ def _stability_reports(
 ) -> list[StabilityReport]:
     """stability_scan of each resonance, with the grid loop outside.
 
+    Each resonance must be a converged pole of (cfg, model). The grid is
+    visited in StabilityReport's order. At the channel's own point the entry
+    is the pole itself, (lambda, theta, N, res.energy, res.converged): the
+    same operator and the same converged energy, so nothing is assembled or
+    refined there (an unconverged pole settles there, off the plateau).
+    Every later point is then compared with the pole, and an
+    artifact mostly settles at the next point. That point changes lambda
+    alone, which slides an artifact along its own ray of the rotated
+    continuum, so its refinement takes fewer iterations than at a point
+    that also rotates the ray by changing theta.
+
     A resonance leaves the loop at the first grid point that settles its
     verdict: one whose refinement fails or does not converge, or whose
     energy lies more than tolerance from an earlier converged energy. No
-    later point can restore a plateau after either, so the verdict is the
-    full grid's; only resonances still live are re-refined at later points.
+    later point can restore a plateau after either, and every refinement
+    starts from res.energy whatever the order, so the verdict is the full
+    grid's in any order; only resonances still live are re-refined at later
+    points.
     """
     grid = list(itertools.product(lambda_values, theta_values, n_values))
+    own = (cfg.scale, cfg.theta, cfg.n_basis)
+    if own in grid:
+        grid.sort(key=lambda point: (point != own, point[1] != cfg.theta))
     entries = [[] for _ in found]
     live = list(range(len(found)))
     oversample = cfg.quad_size - cfg.n_basis
     for lam, theta, n in grid:
         if not live:
             break
-        point_cfg = replace(cfg, scale=lam, theta=theta, n_basis=n, quad_size=n + oversample)
-        outcomes = _refine_at_point([found[i] for i in live], point_cfg, model)
+        if (lam, theta, n) == own:
+            outcomes = [(found[i].energy, found[i].converged) for i in live]
+        else:
+            point_cfg = replace(cfg, scale=lam, theta=theta, n_basis=n, quad_size=n + oversample)
+            outcomes = _refine_at_point([found[i] for i in live], point_cfg, model)
         for i, (energy, converged) in zip(list(live), outcomes):
             earlier = np.array([e for *_, e, c in entries[i] if c])
             entries[i].append((lam, theta, n, energy, converged))
@@ -252,13 +278,14 @@ def stability_scan(
     model: PotentialModel,
     tolerance: float = 1e-8,
 ) -> StabilityReport:
-    """Re-refine a converged resonance over a (lambda, theta, N) grid.
+    """Re-refine a resonance over a (lambda, theta, N) grid.
 
-    The plateau flag requires every point to converge and the maximum
-    pairwise |dE| to stay within tolerance. Points run in
-    itertools.product order, and the scan stops at the first point that
-    rules a plateau out, so a non-plateau report lists only the grid up to
-    that point (see StabilityReport).
+    `res` must be a converged pole of (cfg, model): at the channel's own
+    grid point it stands for itself, unrefined. The plateau flag requires
+    every point to converge and the maximum pairwise |dE| to stay within
+    tolerance. The scan stops at the first point that rules a plateau out,
+    so a non-plateau report lists only the points visited up to that one
+    (see StabilityReport for the visiting order).
     """
     (report,) = _stability_reports(
         [res], lambda_values, theta_values, n_values, cfg, model, tolerance
@@ -295,8 +322,10 @@ def auto_search(
     refine_resonance. Candidates that fail to refine are dropped; nothing
     here is fatal. With run_stability, each pole gets the stability_scan
     report of the 3 x 3 (lambda, theta) grid around cfg, all poles sharing
-    one assembly per grid point; a pole leaves the grid at the point that
-    settles its verdict. `steps` and `window` have no effect; they are kept
+    one assembly per grid point except cfg's own, where each pole is its
+    own entry; a pole leaves the grid at the point that settles its
+    verdict, for an artifact mostly the first (lambda, cfg.theta) point
+    after its own. `steps` and `window` have no effect; they are kept
     because configs and the benchmark's workloads pass them. Output is
     ordered by (z_target, E_r).
     """

@@ -40,6 +40,12 @@ NON_NUMERIC = {
     "table.tolerance": "loose",
 }
 
+# the pole at 4.8348 - 1.1179i at N = 60, which theta = 0.05 under-rotates
+UNDER_ROTATED = {
+    "channel": {**FIND["channel"], "n_basis": 60},
+    "scan": {"guess": {"re": 4.8345, "im": -1.117}, "z_targets": [0.0]},
+}
+
 # case -> (what the error message names, sections that replace FIND's)
 OUT_OF_RANGE = {
     "stability-tolerance-nan": ("stability.tolerance", {"stability": {"tolerance": float("nan")}}),
@@ -68,6 +74,19 @@ OUT_OF_RANGE = {
     "potential-q-fractional": (
         "potential term 0: q",
         {"potential": [{"c": 7.5, "p": 2, "b": 1.0, "q": 1.5}]},
+    ),
+    # a grid value no scan reaches: this pole settles at its second point
+    "stability-lambda_values-unreached": (
+        "stability.lambda_values",
+        {**UNDER_ROTATED, "stability": {"lambda_values": [20.0, 0.0], "theta_values": [0.05, 0.7]}},
+    ),
+    "stability-theta_values-unreached": (
+        "stability.theta_values",
+        {**UNDER_ROTATED, "stability": {"lambda_values": [20.0], "theta_values": [0.05, 0.7, 2.0]}},
+    ),
+    "stability-n_values-unreached": (
+        "stability.n_values",
+        {**UNDER_ROTATED, "stability": {"theta_values": [0.05, 0.7], "n_values": [60, 0]}},
     ),
 }
 
@@ -191,8 +210,10 @@ class TestStability:
         assert err.count("\n") == 1 and "exposure window" in err
 
     def test_non_plateau_grid_stops_at_settling_point(self, tmp_path):
-        # theta = 0.05 under-rotates the pole at 4.8348 - 1.1179i: that point
-        # converges elsewhere, so the second grid point settles the verdict
+        # the pole's own point (20, 0.7) comes first, then (25, 0.7) at its
+        # own theta, which agrees; theta = 0.05 under-rotates the pole at
+        # 4.8348 - 1.1179i, so (20, 0.05) converges elsewhere and settles
+        # the verdict before (25, 0.05) is visited
         data = {
             **FIND,
             "channel": {**FIND["channel"], "n_basis": 120},
@@ -202,14 +223,19 @@ class TestStability:
         cfg = _write_cfg(tmp_path, data)
         out = tmp_path / "res"
         assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
-        report = json.loads((out / "resonances.json").read_text())[0]["stability"]
+        rec = json.loads((out / "resonances.json").read_text())[0]
+        report = rec["stability"]
         assert report["plateau"] is False
         grid = report["grid"]
-        assert [(p["lambda"], p["theta"]) for p in grid] == [(20.0, 0.05), (20.0, 0.7)]
+        assert [(p["lambda"], p["theta"]) for p in grid] == [(20.0, 0.7), (25.0, 0.7), (20.0, 0.05)]
         assert all(p["converged"] for p in grid)
-        first, last = (complex(p["e_r"], -p["gamma"] / 2) for p in grid)
+        assert (grid[0]["e_r"], grid[0]["gamma"]) == (rec["e_r"], rec["gamma"])
+        first, second, last = (complex(p["e_r"], -p["gamma"] / 2) for p in grid)
+        assert abs(second - first) <= 1e-8
         assert abs(last - first) > 1e-8
-        assert abs(last - first) == pytest.approx(report["max_deviation"])
+        assert max(abs(last - first), abs(last - second)) == pytest.approx(
+            report["max_deviation"]
+        )
 
     def test_readme_pole_lists_full_grid(self, tmp_path):
         data = {
@@ -343,7 +369,9 @@ class TestSharedAssembly:
         assert built == [(20.0, 0.7, 150)]
 
     def test_stability_assembles_each_grid_point_once(self, tmp_path, monkeypatch):
-        # both targets converge, and the genuine Z = 0 pole visits every point
+        # both targets converge, and the genuine Z = 0 pole visits every point;
+        # the channel's own point (20, 0.7) is the cached assembly alone,
+        # since there each pole is its own grid entry
         built = self._count_assemblies(monkeypatch)
         data = {
             **FIND,
@@ -356,8 +384,7 @@ class TestSharedAssembly:
         assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
         records = json.loads((out / "resonances.json").read_text())
         assert [r["converged"] for r in records] == [True, True]
-        grid = [(20.0, 0.6, 60), (20.0, 0.7, 60), (25.0, 0.6, 60), (25.0, 0.7, 60)]
-        assert built == [(20.0, 0.7, 60)] + grid
+        assert built == [(20.0, 0.7, 60), (25.0, 0.7, 60), (20.0, 0.6, 60), (25.0, 0.6, 60)]
 
 
 class TestBlasPin:

@@ -1,5 +1,7 @@
 """Tests for YAML config parsing, validation, and round-trips."""
 
+import math
+
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -91,6 +93,39 @@ class TestParseConfig:
         data["channel"]["scale"] = "twenty"
         with pytest.raises(ConfigError):
             parse_config(data)
+
+    @pytest.mark.parametrize(
+        "key,values",
+        [
+            ("lambda_values", [20.0, 0.0]),
+            ("lambda_values", [-20.0]),
+            ("lambda_values", [20.0, float("inf")]),
+            ("lambda_values", [float("nan")]),
+            ("theta_values", [0.7, 2.0]),
+            ("theta_values", [-0.1]),
+            ("theta_values", [math.pi / 2]),
+            ("theta_values", [float("nan")]),
+            ("n_values", [120, 0]),
+            ("n_values", [-3]),
+        ],
+    )
+    def test_every_stability_grid_value_checked(self, key, values):
+        import copy
+
+        data = copy.deepcopy(FULL)
+        data["stability"][key] = values
+        with pytest.raises(ConfigError, match=f"stability.{key}"):
+            parse_config(data)
+
+    def test_stability_grid_edges_accepted(self):
+        import copy
+
+        data = copy.deepcopy(FULL)
+        data["stability"].update(lambda_values=[1e-300], theta_values=[0.0, 1.5], n_values=[1])
+        st_cfg = parse_config(data).stability
+        assert (st_cfg.lambda_values, st_cfg.theta_values, st_cfg.n_values) == (
+            (1e-300,), (0.0, 1.5), (1,)
+        )
 
     def test_non_mapping_root(self):
         with pytest.raises(ConfigError, match="mapping"):

@@ -412,18 +412,35 @@ class TestPoleInvariance:
         assert abs(res.energy - sharp_pole) <= 1e-8
 
 
-# The full-grid stability pass, re-refining every resonance at every grid
-# point: the oracle whose verdicts and plateau reports the early-settling
-# pass must reproduce.
+def visiting_order(lambda_values, theta_values, n_values, cfg) -> list[tuple]:
+    """The grid as a stability pass visits it: the channel's own point, then
+    the other points at cfg.theta, then the rest, each in product order; a
+    grid without the own point in plain product order."""
+    points = list(itertools.product(lambda_values, theta_values, n_values))
+    own = (cfg.scale, cfg.theta, cfg.n_basis)
+    if own not in points:
+        return points
+    at_theta = [p for p in points if p != own and p[1] == cfg.theta]
+    return [own] + at_theta + [p for p in points if p[1] != cfg.theta]
+
+
+# The full-grid stability pass: every resonance is its own entry at the
+# channel's own point and is re-refined at every other grid point. The
+# oracle whose verdicts and plateau reports the early-settling pass must
+# reproduce, listed in visiting order.
 def full_grid_stability_reports(
     found, lambda_values, theta_values, n_values, cfg, model, tolerance
 ) -> list[StabilityReport]:
     """stability_scan of each resonance, with the grid loop outside."""
     entries = [[] for _ in found]
     oversample = cfg.quad_size - cfg.n_basis
-    for lam, theta, n in itertools.product(lambda_values, theta_values, n_values):
-        point_cfg = replace(cfg, scale=lam, theta=theta, n_basis=n, quad_size=n + oversample)
-        for rows, outcome in zip(entries, _refine_at_point(found, point_cfg, model)):
+    for lam, theta, n in visiting_order(lambda_values, theta_values, n_values, cfg):
+        if (lam, theta, n) == (cfg.scale, cfg.theta, cfg.n_basis):
+            outcomes = [(res.energy, True) for res in found]
+        else:
+            point_cfg = replace(cfg, scale=lam, theta=theta, n_basis=n, quad_size=n + oversample)
+            outcomes = _refine_at_point(found, point_cfg, model)
+        for rows, outcome in zip(entries, outcomes):
             rows.append((lam, theta, n, *outcome))
     reports = []
     for rows in entries:
@@ -437,6 +454,17 @@ def full_grid_stability_reports(
         plateau = all_converged and bool(rows) and max_dev <= tolerance
         reports.append(StabilityReport(tuple(rows), max_dev, plateau))
     return reports
+
+
+def _nearest_converged_poles(cfg, model, z_target) -> list[Resonance]:
+    """The converged refinements of the six pencil poles nearest E = 0."""
+    ham = RotatedHamiltonian(cfg, model)
+    found = []
+    for guess in sorted(poles(ham, z_target), key=abs)[:6]:
+        res = refine_resonance(guess, z_target, cfg, model, ham)
+        if res.converged:
+            found.append(res)
+    return found
 
 
 def _settled(rows, tolerance) -> bool:
@@ -495,6 +523,14 @@ class TestStabilityScan:
         assert report.entries[1][1:] == (0.6, 60, None, False)
         assert len(report.entries) == 2
 
+    def test_unconverged_pole_settles_at_its_own_point(self):
+        cfg = _cfg(n=60)
+        res = refine_resonance(3.4264 - 0.0128j, 0.0, cfg, R2_EXP_POTENTIAL)
+        unconverged = replace(res, converged=False)
+        report = stability_scan(unconverged, [20.0, 25.0], [0.7], [60], cfg, R2_EXP_POTENTIAL)
+        assert not report.plateau
+        assert report.entries == ((20.0, 0.7, 60, res.energy, False),)
+
     # Small grids over both potentials; theta = 0.05 under-rotates most
     # poles, so draws mix plateau poles with ones that settle early.
     @settings(max_examples=25, deadline=None)
@@ -509,12 +545,7 @@ class TestStabilityScan:
     )
     def test_verdicts_match_the_full_grid(self, l, n, z_target, model, lams, thetas, n_offsets):
         cfg = _cfg(l=l, n=n)
-        ham = RotatedHamiltonian(cfg, model)
-        found = []
-        for guess in sorted(poles(ham, z_target), key=abs)[:6]:
-            res = refine_resonance(guess, z_target, cfg, model, ham)
-            if res.converged:
-                found.append(res)
+        found = _nearest_converged_poles(cfg, model, z_target)
         grid = (lams, thetas, [n + k for k in n_offsets])
         reports = resonance._stability_reports(found, *grid, cfg, model, 1e-8)
         oracle = full_grid_stability_reports(found, *grid, cfg, model, 1e-8)
@@ -524,6 +555,35 @@ class TestStabilityScan:
                 assert report == full
             else:
                 assert report.entries == full.entries[: len(report.entries)]
+
+    # Every refinement starts from the pole's own energy, and a plateau needs
+    # every point, so the order in which the grid lists its values can move
+    # only the listed prefix of a non-plateau report.
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.data(),
+        l=st.integers(0, 2),
+        n=st.integers(20, 60),
+        z_target=st.sampled_from([-1.0, 0.0, 1.0]),
+        model=st.sampled_from([R2_EXP_POTENTIAL, EMPTY]),
+        lams=st.lists(st.sampled_from([15.0, 20.0, 30.0]), min_size=1, max_size=3, unique=True),
+        thetas=st.lists(st.sampled_from([0.05, 0.4, 0.7]), min_size=1, max_size=3, unique=True),
+        n_offsets=st.lists(st.sampled_from([0, -5, 5]), min_size=1, max_size=2, unique=True),
+    )
+    def test_verdicts_independent_of_grid_order(
+        self, data, l, n, z_target, model, lams, thetas, n_offsets
+    ):
+        cfg = _cfg(l=l, n=n)
+        found = _nearest_converged_poles(cfg, model, z_target)
+        grid = (lams, thetas, [n + k for k in n_offsets])
+        permuted = [data.draw(st.permutations(values)) for values in grid]
+        reports = resonance._stability_reports(found, *grid, cfg, model, 1e-8)
+        again = resonance._stability_reports(found, *permuted, cfg, model, 1e-8)
+        for report, other in zip(reports, again, strict=True):
+            assert report.plateau == other.plateau
+            if report.plateau:
+                assert set(report.entries) == set(other.entries)
+                assert len(report.entries) == len(other.entries)
 
 
 class TestAutoSearch:
@@ -582,15 +642,18 @@ class TestAutoSearch:
         assert guesses == expected
 
     def test_shared_assemblies_give_stability_scan_reports(self):
-        # every grid entry equals a refinement that assembles its own operator;
-        # a plateau pole lists the whole grid, any other pole the grid-order
-        # prefix whose last point settles its verdict
+        # the first entry is the pole itself at the channel's own point, and
+        # every other grid entry equals a refinement that assembles its own
+        # operator; a plateau pole lists the whole grid, any other pole the
+        # visiting-order prefix whose last point settles its verdict
         cfg = _cfg(n=60)
         found = auto_search(cfg, R2_EXP_POTENTIAL, [0.0, 1.0])
         assert len(found) >= 2
         grid = resonance._default_stability_grid(cfg)
-        points = list(itertools.product(*grid))
+        points = visiting_order(*grid, cfg)
+        assert sorted(points) == sorted(itertools.product(*grid))
         assert len(points) == 9
+        assert points[:3] == [(20.0, 0.7, 60), (10.0, 0.7, 60), (40.0, 0.7, 60)]
         assert {r.stability.plateau for r in found} == {True, False}
         for r in found:
             entries = r.stability.entries
@@ -600,12 +663,48 @@ class TestAutoSearch:
             else:
                 assert _settled(entries, 1e-8)
                 assert not _settled(entries[:-1], 1e-8)
-            for lam, theta, n, energy, converged in r.stability.entries:
+            assert entries[0] == (*points[0], r.energy, True)
+            for lam, theta, n, energy, converged in entries[1:]:
                 point_cfg = replace(cfg, scale=lam, theta=theta, n_basis=n, quad_size=n)
                 alone = refine_resonance(r.energy, r.z_target, point_cfg, R2_EXP_POTENTIAL)
                 assert (alone.energy, alone.converged) == (energy, converged)
             alone_report = stability_scan(replace(r, stability=None), *grid, cfg, R2_EXP_POTENTIAL)
             assert r.stability == alone_report
+
+    def test_own_point_costs_no_assembly_and_no_refinement(self, monkeypatch):
+        # each pole is its own first entry, the channel's operator is
+        # assembled once (the shared base assembly), and every later entry
+        # costs one refinement
+        cfg = _cfg(n=60)
+        own = (cfg.scale, cfg.theta, cfg.n_basis)
+        built, refined, phase = [], [], []
+        original_refine = resonance.refine_resonance
+        original_reports = resonance._stability_reports
+
+        def counting_assembly(point_cfg, model):
+            built.append(((point_cfg.scale, point_cfg.theta, point_cfg.n_basis), list(phase)))
+            return RotatedHamiltonian(point_cfg, model)
+
+        def counting_refine(*args, **kwargs):
+            refined.append(list(phase))
+            return original_refine(*args, **kwargs)
+
+        def stability_phase(*args, **kwargs):
+            phase.append("stability")
+            return original_reports(*args, **kwargs)
+
+        monkeypatch.setattr(resonance, "RotatedHamiltonian", counting_assembly)
+        monkeypatch.setattr(resonance, "refine_resonance", counting_refine)
+        monkeypatch.setattr(resonance, "_stability_reports", stability_phase)
+        found = auto_search(cfg, R2_EXP_POTENTIAL, [0.0, 1.0])
+        assert len(found) >= 2 and phase == ["stability"]
+        for r in found:
+            assert r.stability.entries[0] == (*own, r.energy, True)
+        assert built[0] == (own, [])
+        assert own not in [point for point, _ in built[1:]]
+        assert all(when == ["stability"] for _, when in built[1:])
+        in_stability = sum(when == ["stability"] for when in refined)
+        assert in_stability == sum(len(r.stability.entries) - 1 for r in found)
 
     def test_free_operator_artifacts_fail_stability(self):
         # V = 0 has no genuine poles at Z = 0; any search hits are
