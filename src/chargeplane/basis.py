@@ -34,8 +34,8 @@ class ChannelConfig:
             raise ConfigError(f"angular momentum l must be a non-negative integer, got {self.l}")
         if self.n_basis < 1:
             raise ConfigError(f"basis size must be >= 1, got {self.n_basis}")
-        if not self.scale > 0:
-            raise ConfigError(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise ConfigError(f"channel.scale must be finite and > 0, got {self.scale}")
         if not 0 <= self.theta < np.pi / 2:
             raise ConfigError(f"rotation angle must lie in [0, pi/2), got {self.theta}")
         if self.quad_size is None:
@@ -85,6 +85,16 @@ def j_matrix_bands(m: int, nu: float) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, m, dtype=float)
     off = -np.sqrt(k * (k + nu))
     return diag, off
+
+
+def j_factor_bands(m: int, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and negated subdiagonal of the Cholesky factor of J.
+
+    J = L L.T with L real and lower bidiagonal: L[n, n] = sqrt(n + nu + 1)
+    and L[n, n-1] = -sqrt(n), so the second band starts with a 0 at n = 0.
+    """
+    n = np.arange(m, dtype=float)
+    return np.sqrt(n + nu + 1), np.sqrt(n)
 
 
 def build_j_matrix(m: int, nu: float) -> np.ndarray:

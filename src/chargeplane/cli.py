@@ -3,10 +3,12 @@
 Subcommands: eigs, sweep, find, scan, stability, table. Physics parameters
 come from the YAML config (--config); flags cover only the output path and
 plot emission (--svg, on sweep only). scan lists the poles of each target
-charge from one pencil solve (`resonance.poles`) and refines and
-stability-checks them; sweep traces the charge trajectories that picture
-them. `main` runs OpenBLAS at one thread, so outputs do not depend on the
-host's BLAS threading. Exit codes: 0 success, 1 physics tolerance failure,
+charge from one eigensolve (`resonance.poles`: the pencil (S - Z_t, -D),
+reduced by the bidiagonal Cholesky factor of D's real J matrix to one
+complex-symmetric standard problem) and refines and stability-checks them;
+sweep traces the charge trajectories that picture them. `main` runs
+OpenBLAS at one thread, so outputs do not depend on the host's BLAS
+threading. Exit codes: 0 success, 1 physics tolerance failure,
 2 configuration error, 3 solver failure.
 """
 

@@ -43,13 +43,9 @@ def _convert(convert, value, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(map(float, values))
-
-
-def _grid_values(convert, valid, expected: str):
-    """A parser of one stability grid list: every entry converted and checked,
-    whether or not a scan ever reaches it."""
+def _number_list(convert, valid, expected: str):
+    """A parser of one list of numbers: every entry converted and checked,
+    whether or not a run ever reaches it."""
 
     def parse(values) -> tuple:
         out = tuple(map(convert, values))
@@ -122,7 +118,7 @@ def parse_config(data: dict) -> RunConfig:
         channel = ChannelConfig(
             l=_convert(parse_integer, ch.get("l", 0), "channel.l"),
             n_basis=_convert(parse_integer, ch["n_basis"], "channel.n_basis"),
-            scale=float(ch["scale"]),
+            scale=_convert(float, ch["scale"], "channel.scale"),
             theta=float(ch.get("theta", 0.0)),
             quad_size=_convert(parse_integer, ch["quad_size"], "channel.quad_size")
             if "quad_size" in ch
@@ -152,23 +148,22 @@ def parse_config(data: dict) -> RunConfig:
             raise
         except (TypeError, ValueError, ChargePlaneError) as exc:
             raise ConfigError(f"scan.grid: {exc}") from exc
-    im_schedule = _convert(_floats, sc.get("im_schedule", DEFAULT_IM_SCHEDULE), "scan.im_schedule")
-    if not all(map(math.isfinite, im_schedule)):
-        raise ConfigError(f"scan.im_schedule values must be finite, got {list(im_schedule)}")
+    finite = _number_list(float, math.isfinite, "finite values")
+    im_schedule = _convert(finite, sc.get("im_schedule", DEFAULT_IM_SCHEDULE), "scan.im_schedule")
     scan = ScanConfig(
         energy=_complex_pair(sc["energy"], "scan.energy") if "energy" in sc else None,
         grid=grid,
         guess=_complex_pair(sc["guess"], "scan.guess") if "guess" in sc else None,
-        z_targets=_convert(_floats, sc.get("z_targets", ()), "scan.z_targets"),
+        z_targets=_convert(finite, sc.get("z_targets", ()), "scan.z_targets"),
         im_schedule=im_schedule,
         window=_convert(float, sc.get("window", 0.5), "scan.window"),
     )
 
     st = data.get("stability", {}) or {}
     _check_keys(st, ("lambda_values", "theta_values", "n_values", "tolerance"), "stability")
-    lambdas = _grid_values(float, lambda v: 0 < v < math.inf, "finite values > 0")
-    thetas = _grid_values(float, lambda v: 0 <= v < math.pi / 2, "values in [0, pi/2)")
-    ns = _grid_values(parse_integer, lambda v: v >= 1, "integers >= 1")
+    lambdas = _number_list(float, lambda v: 0 < v < math.inf, "finite values > 0")
+    thetas = _number_list(float, lambda v: 0 <= v < math.pi / 2, "values in [0, pi/2)")
+    ns = _number_list(parse_integer, lambda v: v >= 1, "integers >= 1")
     stability = StabilityConfig(
         lambda_values=_convert(lambdas, st.get("lambda_values", ()), "stability.lambda_values"),
         theta_values=_convert(thetas, st.get("theta_values", ()), "stability.theta_values"),

@@ -5,9 +5,11 @@ parameters.
 A resonance at target charge Z is an energy E where an eigenvalue branch
 Z_n(E) of the rotated charge operator M(E) = S + E*D equals Z. Since M is
 affine in E, every such E is a generalized eigenvalue of the pencil
-(S - Z, -D); one dense pencil solve lists them all, each seeds a Newton
-iteration on E, and accepted poles must sit on a plateau under variations of
-(lambda, theta, N).
+(S - Z, -D). D = J / lambda' with J real, tridiagonal and positive definite,
+so the bidiagonal Cholesky factor L of J reduces the pencil to the standard
+complex-symmetric problem L^-1 (S - Z) L^-T, and one dense eigensolve of
+that lists them all (`poles`); each seeds a Newton iteration on E, and
+accepted poles must sit on a plateau under variations of (lambda, theta, N).
 
 Refinement and `auto_search` share one assembly per (channel, potential)
 through `shared_hamiltonian`. A stability pass visits the channel's own
@@ -25,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .basis import ChannelConfig
+from .basis import ChannelConfig, j_factor_bands
 from .errors import ChargePlaneError, EigensolverError
 from .hamiltonian import RotatedHamiltonian
 from .potential import PotentialModel
@@ -50,7 +52,10 @@ class StabilityReport:
     settled its verdict: the first that failed to converge, or whose energy
     lay more than the tolerance from an earlier converged one.
     max_deviation is the maximum pairwise |dE| over the converged points
-    listed.
+    listed. For a non-plateau report that prefix depends on the visiting
+    order, so its max_deviation also depends on the order of the grid's
+    lambda, theta and N values; only a plateau report's max_deviation, the
+    spread over the whole grid, is a property of the pole alone.
     """
 
     entries: tuple = ()  # (lambda, theta, N, energy, converged) tuples
@@ -152,6 +157,8 @@ def refine_resonance(
     """
     if not np.isfinite(guess):
         raise EigensolverError(f"non-finite energy guess {guess}")
+    if not np.isfinite(z_target):
+        raise EigensolverError(f"non-finite target charge {z_target}")
     if ham is None:
         ham = shared_hamiltonian(cfg, model)
     lu_piv = _lu_factor(ham.matrix(guess, z_target))
@@ -179,17 +186,31 @@ def poles(ham: RotatedHamiltonian, z_target: float) -> np.ndarray:
     """Every energy E at which a charge of M(E) = S + E*D equals z_target.
 
     Z_t is a charge of M(E) exactly when (S - Z_t) x = -E D x has a nonzero
-    solution, so these are the finite generalized eigenvalues of the pencil
-    (S - Z_t, -D), sorted by (Re, Im). Raises EigensolverError when the QZ
-    iteration fails.
+    solution, so these are the generalized eigenvalues of the pencil
+    (S - Z_t, -D), sorted by (Re, Im). No QZ is needed: D = J / lambda', and
+    the Laguerre J matrix is real, tridiagonal and positive definite, so
+    J = L L.T with L real and lower bidiagonal (`j_factor_bands`). With
+    y = L.T x the pencil becomes the standard problem
+    L^-1 (S - Z_t) L^-T y = -(E / lambda') y, one complex-symmetric matrix of
+    order N, formed by two bidiagonal forward substitutions; its
+    eigenvalues are all finite. Raises EigensolverError on a non-finite
+    z_target, when the eigensolver fails, or on a non-finite result.
     """
-    shifted = ham.matrix(0.0, z_target)
+    if not np.isfinite(z_target):
+        raise EigensolverError(f"non-finite target charge {z_target}")
+    n = ham.cfg.n_basis
+    diag, sub = j_factor_bands(n, ham.cfg.nu)
+    reduced = ham.matrix(0.0, z_target)
+    for _ in range(2):  # L^-1 (S - Z_t), then L^-1 of its transpose
+        for i in range(n):  # sub[0] = 0, so row 0 is only scaled
+            reduced[i] = (reduced[i] + sub[i] * reduced[i - 1]) / diag[i]
+        reduced = reduced.T
     try:
-        values = scipy.linalg.eigvals(shifted, -ham.derivative, check_finite=False)
+        values = -ham.cfg.rotated_scale * np.linalg.eigvals(reduced)
     except np.linalg.LinAlgError as exc:
-        n = ham.cfg.n_basis
-        raise EigensolverError(f"QZ iteration failed at order {n}: {exc}", order=n) from exc
-    values = values[np.isfinite(values)]
+        raise EigensolverError(f"eigensolver failed at order {n}: {exc}", order=n) from exc
+    if not np.all(np.isfinite(values)):
+        raise EigensolverError(f"non-finite pole at order {n}", order=n)
     return values[np.lexsort((values.imag, values.real))]
 
 

@@ -13,6 +13,7 @@ from chargeplane import (
     gauss_rule,
     potential_matrix,
 )
+from chargeplane.basis import j_factor_bands
 
 
 class TestJMatrix:
@@ -28,6 +29,15 @@ class TestJMatrix:
         assert np.allclose(np.diag(got), [2.0, 4.0, 6.0])
         assert np.allclose(np.diag(got, 1), [-math.sqrt(2), -math.sqrt(6)])
         assert np.allclose(got, got.T)
+
+    @pytest.mark.parametrize("m", [1, 2, 60, 200])
+    @pytest.mark.parametrize("nu", [1.0, 3.0, 7.0, 0.5])
+    def test_factor_is_cholesky(self, m, nu):
+        diag, sub = j_factor_bands(m, nu)
+        factor = np.diag(diag) - np.diag(sub[1:], -1)
+        j_mat = build_j_matrix(m, nu)
+        assert np.abs(factor @ factor.T - j_mat).max() <= 1e-14 * np.abs(j_mat).max()
+        assert np.allclose(factor, np.linalg.cholesky(j_mat), rtol=1e-14, atol=0)
 
     def test_invalid_nu(self):
         with pytest.raises(ConfigError):
@@ -157,6 +167,8 @@ class TestChannelConfig:
             dict(l=0, n_basis=10, scale=-2.0),
             dict(l=0, n_basis=10, scale=5.0, theta=2.0),
             dict(l=0, n_basis=10, scale=5.0, quad_size=5),
+            dict(l=0, n_basis=10, scale=np.inf),
+            dict(l=0, n_basis=10, scale=np.nan),
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -30,6 +30,7 @@ FIND = {
 
 
 NON_NUMERIC = {
+    "channel.scale": "twenty",
     "scan.z_targets": ["zero"],
     "scan.window": "wide",
     "scan.im_schedule": [-0.1, "deep"],
@@ -88,6 +89,9 @@ OUT_OF_RANGE = {
         "stability.n_values",
         {**UNDER_ROTATED, "stability": {"theta_values": [0.05, 0.7], "n_values": [60, 0]}},
     ),
+    "scan-z_targets-inf": ("scan.z_targets", {"scan": {**FIND["scan"], "z_targets": [0.0, np.inf]}}),
+    "scan-z_targets-nan": ("scan.z_targets", {"scan": {**FIND["scan"], "z_targets": [np.nan]}}),
+    "channel-scale-inf": ("channel.scale", {"channel": {**FIND["channel"], "scale": np.inf}}),
 }
 
 

@@ -117,6 +117,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"stability.{key}"):
             parse_config(data)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("scan.z_targets", [0.0, float("inf")]),
+            ("scan.z_targets", [-math.inf]),
+            ("scan.z_targets", [float("nan")]),
+            ("scan.im_schedule", [-0.1, float("nan")]),
+            ("channel.scale", float("inf")),
+        ],
+    )
+    def test_non_finite_value_names_its_key(self, key, value):
+        import copy
+
+        data = copy.deepcopy(FULL)
+        section, name = key.split(".")
+        data[section][name] = value
+        with pytest.raises(ConfigError, match=key):
+            parse_config(data)
+
     def test_stability_grid_edges_accepted(self):
         import copy
 
