@@ -31,7 +31,7 @@ from .output import (
     trajectories_to_csv,
     trajectories_to_svg,
 )
-from .reference import format_table, run_table
+from .reference import PRINT_DECIMALS, format_table, run_table
 from .resonance import (
     _stability_reports,
     auto_search,
@@ -150,10 +150,11 @@ def cmd_table(cfg: RunConfig, args) -> int:
         failing = [r for r in rows if not r.ok]
         if failing:
             status = EXIT_TOLERANCE
+            d = PRINT_DECIMALS
             for r in failing:
                 chunks.append(
-                    f"FAIL: Z={r.z:g} l={r.l} expected ({r.ref_e_r:.12g}, {r.ref_gamma:.12g}) "
-                    f"got ({r.computed_e_r:.12g}, {r.computed_gamma:.12g})\n"
+                    f"FAIL: Z={r.z:g} l={r.l} expected ({r.ref_e_r:.{d}f}, {r.ref_gamma:.{d}f}) "
+                    f"got ({r.computed_e_r:.{d}f}, {r.computed_gamma:.{d}f})\n"
                 )
     _write(args.out, "table.txt", "".join(chunks))
     return status

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -334,7 +335,11 @@ class TestExitCodes:
         }
         cfg = _write_cfg(tmp_path, data)
         assert main(["table", "--config", cfg]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert len(fails) == 6
+        # every value at the table's fixed 10 decimals
+        assert all(re.search(r"\(\d+\.\d{10}, \d+\.\d{10}\) got \(\d+\.\d{10}, \d+\.\d{10}\)$", line)
+                   for line in fails)
 
 
 class TestTable:
