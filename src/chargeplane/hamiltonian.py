@@ -59,7 +59,9 @@ class RotatedHamiltonian:
     read-only, so one instance serves every energy, and
     `resonance.shared_hamiltonian` shares one per (channel, potential) in a
     process. matrix(E, z) costs one copy of S plus O(N) updates on D's
-    bands, and returns a fresh, writable array that is exactly symmetric.
+    bands, into a fresh array or one the caller passes, and is exactly
+    symmetric. apply_static(x) and apply_derivative(x) are S x and D x from
+    the stored S and bands, with no operator-sized temporary.
     """
 
     def __init__(self, cfg: ChannelConfig, model: PotentialModel):
@@ -74,8 +76,9 @@ class RotatedHamiltonian:
         for arr in (self._static, self._d_diag, self._d_off):
             arr.setflags(write=False)
 
-    def matrix(self, energy: complex, z: float = 0.0) -> np.ndarray:
-        """A fresh, writable M(E) - z*I, exactly symmetric.
+    def matrix(self, energy: complex, z: float = 0.0, out: np.ndarray | None = None) -> np.ndarray:
+        """M(E) - z*I, exactly symmetric: a fresh, writable array, or `out`
+        (a C-ordered complex128 N x N array) overwritten with it.
 
         Each entry is bit for bit the dense (S + E*D) - z*I, in that order
         of operations. Off D's bands the dense form adds a zero E*D, so only
@@ -84,7 +87,13 @@ class RotatedHamiltonian:
         if not np.isfinite(energy):
             raise EigensolverError(f"non-finite energy {energy}")
         n = self.cfg.n_basis
-        mat = self._static.copy()
+        if out is None:
+            mat = self._static.copy()
+        elif out.shape == (n, n) and out.dtype == np.complex128 and out.flags.c_contiguous:
+            mat = out
+            np.copyto(mat, self._static)
+        else:
+            raise ValueError(f"out must be a C-ordered complex128 array of shape {(n, n)}")
         flat = mat.reshape(-1)
         off = energy * self._d_off
         flat[:: n + 1] += energy * self._d_diag
@@ -93,14 +102,13 @@ class RotatedHamiltonian:
         flat[:: n + 1] -= z
         return mat
 
-    @property
-    def derivative(self) -> np.ndarray:
-        """D = dM/dE = J / lambda', a fresh read-only array built from its bands."""
-        n = self.cfg.n_basis
-        mat = np.zeros((n, n), dtype=complex)
-        flat = mat.reshape(-1)
-        flat[:: n + 1] = self._d_diag
-        flat[1 :: n + 1] = self._d_off
-        flat[n :: n + 1] = self._d_off
-        mat.setflags(write=False)
-        return mat
+    def apply_static(self, x: np.ndarray) -> np.ndarray:
+        """S x = (M(E) - E*D) x."""
+        return self._static @ x
+
+    def apply_derivative(self, x: np.ndarray) -> np.ndarray:
+        """D x = (J / lambda') x, from D's three bands in O(N)."""
+        dx = self._d_diag * x
+        dx[:-1] += self._d_off * x[1:]
+        dx[1:] += self._d_off * x[:-1]
+        return dx

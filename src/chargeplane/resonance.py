@@ -102,25 +102,47 @@ def outside_exposure_window(energy: complex, theta: float) -> bool:
     return energy.real > 0 and energy.imag < 0 and abs(np.angle(energy)) >= 2 * theta
 
 
-_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+_SYTRF, _SYTRS, _SYTRF_LWORK = scipy.linalg.get_lapack_funcs(
+    ("sytrf", "sytrs", "sytrf_lwork"), dtype=np.complex128
+)
 
 
-def _lu_factor(mat: np.ndarray):
-    """LU factors of a symmetric complex matrix, computed in its own memory.
+@lru_cache(maxsize=8)
+def _ldlt_lwork(n: int) -> int:
+    """LAPACK's workspace size for sytrf at order n. The wrapper's default,
+    n, leaves room for no block, and sytrf then runs unblocked."""
+    work, _ = _SYTRF_LWORK(n)
+    return int(work.real)
 
-    mat.T is mat and is Fortran-ordered, so LAPACK factors it without a
-    copy. Raises EigensolverError when a pivot is exactly zero.
+
+def _ldlt_factor(mat: np.ndarray, at_iterate: bool = False):
+    """Bunch-Kaufman LDL^T factors of a complex-symmetric matrix, computed in
+    its own memory.
+
+    Only the upper triangle of mat.T is read, so mat must be exactly
+    symmetric, as RotatedHamiltonian.matrix returns it; then mat.T is mat,
+    and it is Fortran-ordered, so LAPACK factors it without a copy.
+
+    An exactly zero 1 x 1 pivot of D (2 x 2 pivots are never singular)
+    raises EigensolverError, unless at_iterate: then mat is M(E) - Z_t at a
+    Rayleigh-quotient iterate E, a pole to working precision, and each zero
+    pivot becomes eps times the largest pivot, so the solve returns the null
+    direction, as inverse iteration does (LAPACK's xLAEIN).
     """
-    lu, piv, info = _GETRF(mat.T, overwrite_a=True)
+    n = len(mat)
+    ldu, ipiv, info = _SYTRF(mat.T, lwork=_ldlt_lwork(n), overwrite_a=True)
     if info > 0:
-        n = len(mat)
-        raise EigensolverError(f"exactly singular matrix at order {n}", order=n)
-    return lu, piv
+        if not at_iterate:
+            raise EigensolverError(f"exactly singular matrix at order {n}", order=n)
+        pivots = np.diagonal(ldu)
+        zero = np.flatnonzero((pivots == 0) & (ipiv > 0))
+        ldu[zero, zero] = np.finfo(float).eps * np.abs(pivots).max()
+    return ldu, ipiv
 
 
-def _lu_solve(lu_piv, rhs: np.ndarray) -> np.ndarray:
-    """The unit-norm solution of one system, given _lu_factor's factors."""
-    x, _ = _GETRS(*lu_piv, rhs)
+def _ldlt_solve(factors, rhs: np.ndarray) -> np.ndarray:
+    """The unit-norm solution of one system, given _ldlt_factor's factors."""
+    x, _ = _SYTRS(*factors, rhs)
     norm = np.linalg.norm(x)
     if not np.isfinite(norm):
         raise EigensolverError(f"non-finite solve at order {len(x)}", order=len(x))
@@ -145,10 +167,12 @@ def refine_resonance(
     START_STEPS inverse-iteration solves with M(guess) - Z_t, which selects
     the branch whose Z is nearest Z_t at the guess.
 
-    A step costs one LU factorization and two matrix-vector products,
-    (S - Z_t) x and D x, from which both the quotient and the residual
-    (M(E) - Z_t) x = (S - Z_t) x + E D x follow. The iteration stops when
-    that backward error, with ||x|| = 1, is at most RESIDUAL_TOL; after
+    A step costs one LDL^T factorization of the complex-symmetric
+    M(E) - Z_t (Bunch-Kaufman, half the flops of LU, reading one triangle,
+    so `ham.matrix` must be exactly symmetric), one dense product S x and
+    the O(N) band product D x, from which both the quotient and the
+    residual (M(E) - Z_t) x = (S x - Z_t x) + E D x follow. The iteration
+    stops when that backward error, with ||x|| = 1, is at most RESIDUAL_TOL; after
     MAX_ITER steps without that, non-convergence is reported in-band
     (converged = False). Raises EigensolverError on a non-finite guess, an
     exactly singular M(E) - Z_t, or a non-finite solve. `ham`, if given,
@@ -161,24 +185,24 @@ def refine_resonance(
         raise EigensolverError(f"non-finite target charge {z_target}")
     if ham is None:
         ham = shared_hamiltonian(cfg, model)
-    lu_piv = _lu_factor(ham.matrix(guess, z_target))
+    # The one operator-sized array of a refinement: each step writes
+    # M(E) - Z_t into it and factors it there, and (S - Z_t) x is taken as
+    # S x - Z_t x. With an N x N temporary per step or per refinement, glibc
+    # gave the memory back on free and page-faulted it in again (280 to 440
+    # minor faults per refinement at N = 200).
+    mat = ham.matrix(guess, z_target)
+    factors = _ldlt_factor(mat)
     x = np.ones(cfg.n_basis, dtype=complex)
     for _ in range(START_STEPS):
-        x = _lu_solve(lu_piv, x)
-    # Freed before S - Z_t and D are formed: with a fourth operator-sized
-    # array live, the allocator (glibc) gave the memory back on return and
-    # page-faulted it in again on every call.
-    del lu_piv
-    shifted = ham.matrix(0.0, z_target)
-    deriv_mat = ham.derivative
+        x = _ldlt_solve(factors, x)
     for iterations in range(1, MAX_ITER + 1):
-        sx = shifted @ x
-        dx = deriv_mat @ x
+        sx = ham.apply_static(x) - z_target * x
+        dx = ham.apply_derivative(x)
         energy = complex(-(x @ sx) / (x @ dx))
         residual = float(np.linalg.norm(sx + energy * dx))
         if residual <= RESIDUAL_TOL or iterations == MAX_ITER:
             break
-        x = _lu_solve(_lu_factor(ham.matrix(energy, z_target)), dx)
+        x = _ldlt_solve(_ldlt_factor(ham.matrix(energy, z_target, out=mat), True), dx)
     return Resonance(z_target, cfg.l, energy, residual <= RESIDUAL_TOL, iterations, residual)
 
 

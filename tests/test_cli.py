@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +104,14 @@ def _write_cfg(tmp_path, data, name="run.yaml"):
 
 
 class TestEigs:
+    def test_readme_config_runs(self, tmp_path, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```yaml\n# run\.yaml\n(.*?)```", readme, re.DOTALL)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(block, encoding="utf-8")
+        assert main(["eigs", "--config", str(cfg)]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 200  # header, N charges
+
     def test_hydrogen_spectrum_to_stdout(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, HYDROGEN)
         assert main(["eigs", "--config", cfg]) == 0

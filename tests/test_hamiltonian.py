@@ -17,6 +17,11 @@ from chargeplane import (
 ZERO_POTENTIAL = PotentialModel()
 
 
+def dense_derivative(cfg):
+    """D = dM/dE = J / lambda' as a dense matrix."""
+    return build_j_matrix(cfg.n_basis, cfg.nu) / cfg.rotated_scale
+
+
 def closed_form_reference(cfg, energy):
     """Independent oracle for the rotated reference operator at E:
     diagonal lambda' (E/lambda'^2 - 1/8)(2n + nu + 1), off-diagonal
@@ -149,25 +154,46 @@ class TestFullMatrix:
 class TestEnergyDerivative:
     def test_one_by_one(self):
         cfg = ChannelConfig(l=0, n_basis=1, scale=1.0, theta=0.0)
-        assert RotatedHamiltonian(cfg, ZERO_POTENTIAL).derivative[0, 0] == pytest.approx(2.0)
+        ham = RotatedHamiltonian(cfg, ZERO_POTENTIAL)
+        assert ham.apply_derivative(np.ones(1, dtype=complex))[0] == pytest.approx(2.0)
 
     def test_finite_difference(self):
         cfg = ChannelConfig(l=2, n_basis=20, scale=7.0, theta=0.4)
         ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
         e, h = 1.5 - 0.3j, 1e-6
         fd = (ham.matrix(e + h) - ham.matrix(e - h)) / (2 * h)
-        ref = ham.derivative
+        ref = dense_derivative(cfg)
         scale = np.abs(ref).max()
         assert np.abs(fd - ref).max() <= 1e-8 * scale
 
     def test_theta_scaling(self):
         cfg0 = ChannelConfig(l=0, n_basis=8, scale=3.0, theta=0.0)
         cfg1 = ChannelConfig(l=0, n_basis=8, scale=3.0, theta=0.6)
+        x = np.linspace(1.0, 2.0, 8) * (1 + 0.5j)
         assert np.allclose(
-            RotatedHamiltonian(cfg1, ZERO_POTENTIAL).derivative,
-            np.exp(0.6j) * RotatedHamiltonian(cfg0, ZERO_POTENTIAL).derivative,
-            atol=1e-15,
+            RotatedHamiltonian(cfg1, ZERO_POTENTIAL).apply_derivative(x),
+            np.exp(0.6j) * RotatedHamiltonian(cfg0, ZERO_POTENTIAL).apply_derivative(x),
+            atol=1e-14,
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        l=st.integers(0, 3),
+        n=st.integers(1, 200),
+        scale=st.floats(1.0, 40.0),
+        theta=st.floats(0.0, 1.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_band_product_matches_dense(self, l, n, scale, theta, seed):
+        # D x sums at most three products per entry, so the band product and
+        # the dense one agree to a few ulps of sum |D| |x|
+        cfg = ChannelConfig(l=l, n_basis=n, scale=scale, theta=theta)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        dense = dense_derivative(cfg)
+        band = RotatedHamiltonian(cfg, ZERO_POTENTIAL).apply_derivative(x)
+        bound = 4 * np.finfo(float).eps * (np.abs(dense) @ np.abs(x))
+        assert np.all(np.abs(band - dense @ x) <= bound)
 
 
 class TestRotatedHamiltonian:
@@ -197,7 +223,7 @@ class TestRotatedHamiltonian:
             cfg, model, gauss_rule(cfg.quad_size, cfg.nu)
         )
         mat = ham.matrix(energy, z)
-        assert np.array_equal(mat, static + energy * ham.derivative - z * np.eye(n))
+        assert np.array_equal(mat, static + energy * (j_mat / lam) - z * np.eye(n))
         assert np.array_equal(mat, mat.T)
         assert mat.flags.writeable
         assert not np.shares_memory(mat, ham.matrix(energy, z))
@@ -205,6 +231,8 @@ class TestRotatedHamiltonian:
     def test_derivative_shared(self):
         cfg = ChannelConfig(l=0, n_basis=10, scale=2.0, theta=0.3)
         ham = RotatedHamiltonian(cfg, ZERO_POTENTIAL)
-        assert np.array_equal(ham.derivative, build_j_matrix(10, cfg.nu) / cfg.rotated_scale)
-        with pytest.raises(ValueError):
-            ham.derivative[0, 0] = 0.0
+        columns = [ham.apply_derivative(unit) for unit in np.eye(10, dtype=complex)]
+        assert np.array_equal(np.column_stack(columns), dense_derivative(cfg))
+        for band in (ham._d_diag, ham._d_off):
+            with pytest.raises(ValueError):
+                band[0] = 0.0

@@ -2,7 +2,9 @@
 crossing detection on trajectory sweeps and the QZ solve of the unreduced
 pencil as independent oracles."""
 
+import contextlib
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -10,12 +12,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import zsytrf, zsytrf_lwork, zsytrs
 from scipy.optimize import linear_sum_assignment
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chargeplane import resonance
-from chargeplane.basis import ChannelConfig
+from chargeplane import cli, resonance
+from chargeplane.basis import ChannelConfig, build_j_matrix
 from chargeplane.errors import ChargePlaneError, EigensolverError
 from chargeplane.hamiltonian import RotatedHamiltonian
 from chargeplane.potential import GAUSSIAN_WELL_POTENTIAL, R2_EXP_POTENTIAL, PotentialModel
@@ -186,7 +189,7 @@ class TestPoles:
         cfg = ChannelConfig(l=l, n_basis=n, scale=scale, theta=theta)
         ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
         listed = poles(ham, z_target)
-        qz = scipy.linalg.eigvals(ham.matrix(0.0, z_target), -ham.derivative)
+        qz = scipy.linalg.eigvals(ham.matrix(0.0, z_target), -dense_derivative(ham))
         assert len(listed) == n and np.all(np.isfinite(qz))
         distance = np.abs(listed[:, None] - qz[None, :])
         rows, cols = linear_sum_assignment(distance)
@@ -258,14 +261,59 @@ class TestRefineResonance:
         assert shared_hamiltonian.cache_info().currsize == 0
 
 
-# The dense Rayleigh-quotient loop that forms M(E) - Z_t with an identity
-# shift, takes the residual by a third product, and factors through scipy's
-# wrappers: the oracle whose every energy, step count and verdict the lean
-# loop must reproduce exactly.
+def dense_derivative(ham) -> np.ndarray:
+    """D = J / lambda' as a dense matrix."""
+    return build_j_matrix(ham.cfg.n_basis, ham.cfg.nu) / ham.cfg.rotated_scale
+
+
+# The dense Rayleigh-quotient loop that forms a fresh M(E) - Z_t with an
+# identity shift at every step, takes the residual by a third product, and
+# factors a C-ordered copy through scipy's LDL^T wrappers with the same
+# blocked workspace: the oracle whose every energy, step count and verdict
+# the lean loop must reproduce exactly.
 def dense_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
     shift = z_target * np.eye(cfg.n_basis)
+    static = ham.matrix(0.0)
+    work, _ = zsytrf_lwork(cfg.n_basis)
+
+    def factor(mat, at_iterate=False):
+        ldu, ipiv, info = zsytrf(mat, lwork=int(work.real))
+        if info > 0 and not at_iterate:
+            raise EigensolverError(f"exactly singular matrix at order {len(mat)}")
+        pivots = np.diag(ldu)
+        for k in range(len(mat)):
+            if pivots[k] == 0 and ipiv[k] > 0:
+                ldu[k, k] = np.finfo(float).eps * np.abs(pivots).max()
+        return ldu, ipiv
+
+    def solve(factors, rhs):
+        x, _ = zsytrs(*factors, rhs)
+        norm = np.linalg.norm(x)
+        if not np.isfinite(norm):
+            raise EigensolverError(f"non-finite solve at order {len(x)}", order=len(x))
+        return x / norm
+
+    factors = factor(ham.matrix(guess) - shift)
+    x = np.ones(cfg.n_basis, dtype=complex)
+    for _ in range(START_STEPS):
+        x = solve(factors, x)
+    for iterations in range(1, MAX_ITER + 1):
+        dx = ham.apply_derivative(x)
+        energy = complex(-(x @ (static @ x - z_target * x)) / (x @ dx))
+        mat = ham.matrix(energy) - shift
+        residual = float(np.linalg.norm(mat @ x))
+        if residual <= RESIDUAL_TOL:
+            return Resonance(z_target, cfg.l, energy, True, iterations, residual)
+        x = solve(factor(mat, at_iterate=True), dx)
+    return Resonance(z_target, cfg.l, energy, False, MAX_ITER, residual)
+
+
+# The same loop with a general LU factorization and a dense D, as refinement
+# ran before it used the symmetry of M(E) - Z_t.
+def lu_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
+    shift = z_target * np.eye(cfg.n_basis)
     shifted = ham.matrix(0.0) - shift
-    deriv_mat = ham.derivative
+    deriv_mat = dense_derivative(ham)
 
     def solve(lu, rhs):
         x = lu_solve(lu, rhs, check_finite=False)
@@ -290,34 +338,71 @@ def dense_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
 
 
 class _SingularOperator:
-    """An operator whose M(E) - Z_t is diag(1, 0, 2) at every E: exactly singular."""
+    """An operator whose M(E) - Z_t is a fixed, exactly singular matrix."""
 
-    derivative = np.eye(3, dtype=complex)
+    def __init__(self, mat):
+        self.mat = np.asarray(mat, dtype=complex)
 
-    def matrix(self, energy, z=0.0):
-        return np.diag([1.0, 0.0, 2.0]).astype(complex)
+    def matrix(self, energy, z=0.0, out=None):
+        return self.mat.copy()
+
+
+class _PoleAtIterate:
+    """S = diag(0, 1, 2) and D = I, so E = 0 is a pole of Z_t = 0. The first
+    M(E) - Z_t, at the guess, is diag(0.1, 1.1, 2.1); every later one is
+    exactly diag(0, 1, 2), as if each iterate landed on the pole to the
+    last bit."""
+
+    static = np.diag([0.0, 1.0, 2.0]).astype(complex)
+
+    def __init__(self):
+        self.calls = 0
+
+    def matrix(self, energy, z=0.0, out=None):
+        self.calls += 1
+        return self.static + (0.1 * np.eye(3) if self.calls == 1 else 0.0)
+
+    def apply_static(self, x):
+        return self.static @ x
+
+    def apply_derivative(self, x):
+        return x.copy()
+
+
+# Bunch-Kaufman on the upper triangle starts at the last column: a zero
+# (3, 3) entry against the larger (2, 3) one makes rows 2-3 a 2 x 2 pivot,
+# whose Schur complement 1/2 - 2 (1/2)(1/2) leaves an exactly zero pivot.
+TWO_BY_TWO_SINGULAR = [[0.5, 0.5, 0.5], [0.5, 0.0, 1.0], [0.5, 1.0, 0.0]]
+
+
+_DRAWS = dict(
+    l=st.integers(0, 2),
+    n=st.integers(5, 60),
+    scale=st.floats(10.0, 40.0),
+    theta=st.floats(0.1, 1.0),
+    z_target=st.sampled_from([-1.0, 0.0, 1.0]),
+    pick=st.integers(0, 10**6),
+    rel=st.complex_numbers(max_magnitude=1e-2),
+)
+
+
+def _drawn_guess(l, n, scale, theta, z_target, pick, rel):
+    """A channel and a guess that perturbs one of its pencil poles with
+    |E| <= 100, the region any scan box lies in."""
+    cfg = ChannelConfig(l=l, n_basis=n, scale=scale, theta=theta)
+    ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
+    listed = poles(ham, z_target)
+    listed = listed[np.abs(listed) <= 100]
+    assume(len(listed) > 0)
+    return cfg, ham, listed[pick % len(listed)] * (1 + rel)
 
 
 class TestLeanStep:
-    # Guesses perturb pencil eigenvalues with |E| <= 100, the region any scan
-    # box lies in; the residual's rounding grows with |E| ||D||.
+    # the residual's rounding grows with |E| ||D||
     @settings(max_examples=60, deadline=None)
-    @given(
-        l=st.integers(0, 2),
-        n=st.integers(5, 60),
-        scale=st.floats(10.0, 40.0),
-        theta=st.floats(0.1, 1.0),
-        z_target=st.sampled_from([-1.0, 0.0, 1.0]),
-        pick=st.integers(0, 10**6),
-        rel=st.complex_numbers(max_magnitude=1e-2),
-    )
+    @given(**_DRAWS)
     def test_matches_the_dense_loop(self, l, n, scale, theta, z_target, pick, rel):
-        cfg = ChannelConfig(l=l, n_basis=n, scale=scale, theta=theta)
-        ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
-        listed = poles(ham, z_target)
-        listed = listed[np.abs(listed) <= 100]
-        assume(len(listed) > 0)
-        guess = listed[pick % len(listed)] * (1 + rel)
+        cfg, ham, guess = _drawn_guess(l, n, scale, theta, z_target, pick, rel)
         try:
             dense = dense_refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
         except EigensolverError:
@@ -330,11 +415,44 @@ class TestLeanStep:
         assert lean.converged == dense.converged
         assert lean.residual == pytest.approx(dense.residual, rel=0, abs=1e-12)
 
+    # Over 3,000 draws of these ranges both loops converged in the same
+    # number of steps, with energies at most 1.0e-13 of max(1, |E|) apart.
+    @settings(max_examples=60, deadline=None)
+    @given(**_DRAWS)
+    def test_agrees_with_the_lu_loop(self, l, n, scale, theta, z_target, pick, rel):
+        cfg, ham, guess = _drawn_guess(l, n, scale, theta, z_target, pick, rel)
+        try:
+            lu = lu_refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
+            ldlt = refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
+        except EigensolverError:
+            assume(False)
+        assume(lu.converged and ldlt.converged)
+        assert abs(ldlt.energy - lu.energy) <= 1e-12 * max(1.0, abs(lu.energy))
+
     def test_singular_matrix_raises_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EigensolverError, match="singular"):
-                refine_resonance(1.0, 0.0, _cfg(n=3), EMPTY, ham=_SingularOperator())
+                refine_resonance(1.0, 0.0, _cfg(n=3), EMPTY,
+                                 ham=_SingularOperator(np.diag([1.0, 0.0, 2.0])))
+
+    def test_exactly_singular_iterate_converges_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = refine_resonance(0.1, 0.0, _cfg(n=3), EMPTY, ham=_PoleAtIterate())
+        assert res.converged
+        assert res.iterations == 2  # the singular step's solve is the null vector
+        assert abs(res.energy) <= 1e-15
+
+    def test_singular_after_a_two_by_two_pivot_raises_without_warnings(self):
+        _, ipiv, info = zsytrf(np.array(TWO_BY_TWO_SINGULAR, dtype=complex))
+        assert info == 1
+        assert list(ipiv[1:]) == [-2, -2]  # rows 2-3 form one 2 x 2 block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolverError, match="singular"):
+                refine_resonance(1.0, 0.0, _cfg(n=3), EMPTY,
+                                 ham=_SingularOperator(TWO_BY_TWO_SINGULAR))
 
 
 def _table1_poles():
@@ -375,7 +493,8 @@ class TestSharedHamiltonian:
         cached = shared_hamiltonian(cfg, model)
         fresh = RotatedHamiltonian(cfg, model)
         assert np.array_equal(cached.matrix(energy, z), fresh.matrix(energy, z))
-        assert np.array_equal(cached.derivative, fresh.derivative)
+        x = np.arange(1, n + 1) * (1 - 0.5j)
+        assert np.array_equal(cached.apply_derivative(x), fresh.apply_derivative(x))
 
     def test_refinement_equals_explicit_fresh_assembly(self):
         cfg = _cfg(n=60)
@@ -390,10 +509,6 @@ class TestSharedHamiltonian:
 
     def test_cached_arrays_read_only_and_matrix_fresh(self):
         ham = shared_hamiltonian(_cfg(n=10), R2_EXP_POTENTIAL)
-        derivative = ham.derivative
-        assert not derivative.flags.writeable
-        with pytest.raises(ValueError):
-            derivative[0, 0] = 1.0
         for arr in (ham._static, ham._d_diag, ham._d_off):
             assert not arr.flags.writeable
         first = ham.matrix(1.0 - 0.5j)
@@ -432,8 +547,43 @@ class TestIndependentCrossCheck:
             charges = np.linalg.eigvals(ham.matrix(energy))
             assert np.abs(charges - z).min() <= 1e-9
             shifted = ham.matrix(0.0) - z * np.eye(len(charges))
-            energies = scipy.linalg.eigvals(shifted, -ham.derivative)
+            energies = scipy.linalg.eigvals(shifted, -dense_derivative(ham))
             assert np.abs(energies - energy).min() <= 1e-9
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Every loaded OpenBLAS at one thread, as the CLI and the benchmark run."""
+    saved = [(set_, get()) for get, set_ in cli._openblas_thread_controls()]
+    for set_, _ in saved:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, threads in saved:
+            set_(threads)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+class TestMemoryReuse:
+    # A refinement allocates one operator-sized array and reuses it for every
+    # step. With more, glibc gave freed memory back to the system on return
+    # or between steps and page-faulted it in again: 143 minor faults per
+    # converged refinement at N = 150 and 437 at N = 200, against 0 for this
+    # loop (an N x N array spans 88 and 157 pages).
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_converged_refinements_do_not_page_fault(self, n):
+        import resource
+
+        cfg = _cfg(n=n)
+        with one_blas_thread():
+            for _ in range(3):
+                refine_resonance(3.4264 - 0.0128j, 0.0, cfg, R2_EXP_POTENTIAL)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(20):
+                assert refine_resonance(3.4264 - 0.0128j, 0.0, cfg, R2_EXP_POTENTIAL).converged
+            faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+        assert faults <= 10
 
 
 @pytest.fixture(scope="module")
