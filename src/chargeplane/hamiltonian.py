@@ -76,7 +76,9 @@ class RotatedHamiltonian:
         for arr in (self._static, self._d_diag, self._d_off):
             arr.setflags(write=False)
 
-    def matrix(self, energy: complex, z: float = 0.0, out: np.ndarray | None = None) -> np.ndarray:
+    def matrix(
+        self, energy: complex, z: float = 0.0, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """M(E) - z*I, exactly symmetric: a fresh, writable array, or `out`
         (a C-ordered complex128 N x N array) overwritten with it.
 

@@ -28,9 +28,10 @@ TABLE1_TOLERANCE = 1e-7
 # Computed values and their differences are printed at this many decimals,
 # a fixed absolute resolution. Between LU and LDL^T factorizations, BLAS at
 # 1 and 2 threads, and 1 to 3 start steps of the refinement, no table value
-# moves by more than 3.6e-14, and at 10 decimals none lies within 1.3e-12 of
-# a rounding boundary (at 11, one lies 4e-16 from one). A significant-digit
-# format would print Gamma ~ 1e-4 to 1e-16, below the pole's own accuracy.
+# moves by more than 3.6e-14; at 10 decimals none lies within 1.3e-12 of a
+# rounding boundary, while at 11 two printed values differ between them. A
+# significant-digit format would print Gamma ~ 1e-4 to 1e-16, below the
+# pole's own accuracy.
 PRINT_DECIMALS = 10
 
 

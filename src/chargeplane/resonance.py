@@ -168,16 +168,16 @@ def refine_resonance(
     the branch whose Z is nearest Z_t at the guess.
 
     A step costs one LDL^T factorization of the complex-symmetric
-    M(E) - Z_t (Bunch-Kaufman, half the flops of LU, reading one triangle,
+    M(E) - Z_t (Bunch-Kaufman, half the flops of LU; it reads one triangle,
     so `ham.matrix` must be exactly symmetric), one dense product S x and
     the O(N) band product D x, from which both the quotient and the
     residual (M(E) - Z_t) x = (S x - Z_t x) + E D x follow. The iteration
-    stops when that backward error, with ||x|| = 1, is at most RESIDUAL_TOL; after
-    MAX_ITER steps without that, non-convergence is reported in-band
-    (converged = False). Raises EigensolverError on a non-finite guess, an
-    exactly singular M(E) - Z_t, or a non-finite solve. `ham`, if given,
-    must assemble (cfg, model); without it the operator is
-    shared_hamiltonian(cfg, model).
+    stops when that backward error, with ||x|| = 1, is at most
+    RESIDUAL_TOL; after MAX_ITER steps without that, non-convergence is
+    reported in-band (converged = False). Raises EigensolverError on a
+    non-finite guess, an exactly singular M(guess) - Z_t, or a non-finite
+    solve. `ham`, if given, must assemble (cfg, model); without it the
+    operator is shared_hamiltonian(cfg, model).
     """
     if not np.isfinite(guess):
         raise EigensolverError(f"non-finite energy guess {guess}")
@@ -202,7 +202,8 @@ def refine_resonance(
         residual = float(np.linalg.norm(sx + energy * dx))
         if residual <= RESIDUAL_TOL or iterations == MAX_ITER:
             break
-        x = _ldlt_solve(_ldlt_factor(ham.matrix(energy, z_target, out=mat), True), dx)
+        mat = ham.matrix(energy, z_target, out=mat)
+        x = _ldlt_solve(_ldlt_factor(mat, at_iterate=True), dx)
     return Resonance(z_target, cfg.l, energy, residual <= RESIDUAL_TOL, iterations, residual)
 
 

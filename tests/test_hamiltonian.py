@@ -228,6 +228,17 @@ class TestRotatedHamiltonian:
         assert mat.flags.writeable
         assert not np.shares_memory(mat, ham.matrix(energy, z))
 
+    def test_matrix_into_out(self):
+        cfg = ChannelConfig(l=1, n_basis=12, scale=5.0, theta=0.4)
+        ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
+        out = np.full((12, 12), np.nan, dtype=complex)
+        assert ham.matrix(2.0 - 1.0j, 0.5, out=out) is out
+        assert np.array_equal(out, ham.matrix(2.0 - 1.0j, 0.5))
+        for bad in (np.zeros((12, 11), complex), np.zeros((12, 12)),
+                    np.zeros((12, 12), complex, order="F")):
+            with pytest.raises(ValueError, match="out must be"):
+                ham.matrix(2.0, out=bad)
+
     def test_derivative_shared(self):
         cfg = ChannelConfig(l=0, n_basis=10, scale=2.0, theta=0.3)
         ham = RotatedHamiltonian(cfg, ZERO_POTENTIAL)

@@ -415,7 +415,7 @@ class TestLeanStep:
         assert lean.converged == dense.converged
         assert lean.residual == pytest.approx(dense.residual, rel=0, abs=1e-12)
 
-    # Over 3,000 draws of these ranges both loops converged in the same
+    # Over 1,500 draws of these ranges both loops converged in the same
     # number of steps, with energies at most 1.0e-13 of max(1, |E|) apart.
     @settings(max_examples=60, deadline=None)
     @given(**_DRAWS)
@@ -568,7 +568,7 @@ def one_blas_thread():
 class TestMemoryReuse:
     # A refinement allocates one operator-sized array and reuses it for every
     # step. With more, glibc gave freed memory back to the system on return
-    # or between steps and page-faulted it in again: 143 minor faults per
+    # or between steps and page-faulted it in again: 144 minor faults per
     # converged refinement at N = 150 and 437 at N = 200, against 0 for this
     # loop (an N x N array spans 88 and 157 pages).
     @pytest.mark.parametrize("n", [150, 200])
