@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import ctypes
 import dataclasses
 import os
@@ -215,17 +216,24 @@ def _openblas_thread_controls() -> list[tuple]:
     return controls
 
 
-def main(argv=None) -> int:
-    """Run one command with every loaded OpenBLAS at one thread, then
-    restore the previous thread counts."""
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS at one thread inside the block; the previous
+    thread counts are restored after it."""
     saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
     for set_, _ in saved:
         set_(1)
     try:
-        return _run(argv)
+        yield
     finally:
         for set_, threads in saved:
             set_(threads)
+
+
+def main(argv=None) -> int:
+    """Run one command with every loaded OpenBLAS at one thread."""
+    with _one_blas_thread():
+        return _run(argv)
 
 
 def _run(argv) -> int:

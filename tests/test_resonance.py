@@ -2,7 +2,6 @@
 crossing detection on trajectory sweeps and the QZ solve of the unreduced
 pencil as independent oracles."""
 
-import contextlib
 import itertools
 import sys
 import warnings
@@ -551,19 +550,6 @@ class TestIndependentCrossCheck:
             assert np.abs(energies - energy).min() <= 1e-9
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Every loaded OpenBLAS at one thread, as the CLI and the benchmark run."""
-    saved = [(set_, get()) for get, set_ in cli._openblas_thread_controls()]
-    for set_, _ in saved:
-        set_(1)
-    try:
-        yield
-    finally:
-        for set_, threads in saved:
-            set_(threads)
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
 class TestMemoryReuse:
     # A refinement allocates one operator-sized array and reuses it for every
@@ -576,7 +562,7 @@ class TestMemoryReuse:
         import resource
 
         cfg = _cfg(n=n)
-        with one_blas_thread():
+        with cli._one_blas_thread():  # as the CLI and the benchmark run
             for _ in range(3):
                 refine_resonance(3.4264 - 0.0128j, 0.0, cfg, R2_EXP_POTENTIAL)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
