@@ -342,7 +342,7 @@ class _SingularOperator:
     def __init__(self, mat):
         self.mat = np.asarray(mat, dtype=complex)
 
-    def matrix(self, energy, z=0.0, out=None):
+    def matrix(self, energy, z=0.0):
         return self.mat.copy()
 
 
