@@ -50,10 +50,6 @@ class ChannelConfig:
         return 2 * self.l + 1
 
     @property
-    def alpha(self) -> float:
-        return (self.nu + 1) / 2
-
-    @property
     def rotated_scale(self) -> complex:
         """lambda' = lambda * exp(-i*theta), the single rotated scale."""
         return self.scale * np.exp(-1j * self.theta)
@@ -64,8 +60,9 @@ class QuadratureRule:
     """Spectral decomposition of the J matrix.
 
     nodes[k] is the k-th eigenvalue (ascending, all positive); vectors[:, k]
-    is its normalized eigenvector. The products vectors[n, k] * vectors[m, k]
-    play the role of Gauss weights.
+    is its normalized eigenvector, of either sign. The products
+    vectors[n, k] * vectors[m, k] play the role of Gauss weights, and a
+    column's sign cancels in them, so no sign convention is needed.
     """
 
     nu: float
@@ -112,10 +109,12 @@ def build_j_matrix(m: int, nu: float) -> np.ndarray:
 def gauss_rule(m: int, nu: float) -> QuadratureRule:
     """Gauss quadrature of size m from diagonalizing the J matrix.
 
-    Nodes are sorted ascending; each eigenvector column is sign-fixed so its
-    first component of non-negligible magnitude is positive, making outputs
-    bit-stable across runs. Rules are cached by (m, nu) and shared between
-    callers, which is safe because their arrays are read-only.
+    Nodes come ascending from the tridiagonal eigensolver. Column signs are
+    left as the solver returns them: every use of the rule multiplies two
+    entries of one column, vectors[n, k] * vectors[m, k], and negating both
+    factors leaves that product, and so every sum of such products, exact
+    to the bit. Rules are cached by (m, nu) and shared between callers,
+    which is safe because their arrays are read-only.
     """
     diag, off = j_matrix_bands(m, nu)
     try:
@@ -126,14 +125,6 @@ def gauss_rule(m: int, nu: float) -> QuadratureRule:
             nodes, vectors = eigh_tridiagonal(diag, off)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - not expected
         raise EigensolverError(f"tridiagonal eigensolver failed at order {m}", order=m) from exc
-    order = np.argsort(nodes)
-    nodes = nodes[order]
-    vectors = vectors[:, order]
-    for k in range(m):
-        col = vectors[:, k]
-        lead = col[np.abs(col) > 1e-12 * np.abs(col).max()][0]
-        if lead < 0:
-            vectors[:, k] = -col
     nodes.setflags(write=False)
     vectors.setflags(write=False)
     return QuadratureRule(nu=nu, size=m, nodes=nodes, vectors=vectors)

@@ -34,6 +34,7 @@ from .output import (
 )
 from .reference import PRINT_DECIMALS, format_table, run_table
 from .resonance import (
+    _default_stability_grid,
     _stability_reports,
     auto_search,
     outside_exposure_window,
@@ -130,9 +131,8 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 def cmd_stability(cfg: RunConfig, args) -> int:
     results = _refine_targets(cfg)
     st, ch = cfg.stability, cfg.channel
-    lams = st.lambda_values or (ch.scale,)
-    thetas = st.theta_values or (ch.theta,)
-    ns = st.n_values or (ch.n_basis,)
+    given = (st.lambda_values, st.theta_values, st.n_values)
+    lams, thetas, ns = (v or d for v, d in zip(given, _default_stability_grid(ch)))
     found = [res for res in results if res.converged]
     reports = iter(_stability_reports(found, lams, thetas, ns, ch, cfg.potential, st.tolerance))
     results = [

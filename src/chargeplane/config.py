@@ -14,7 +14,7 @@ import yaml
 
 from .basis import ChannelConfig
 from .errors import ChargePlaneError, ConfigError
-from .potential import PotentialModel, parse_integer, parse_potential, potential_to_config
+from .potential import PotentialModel, parse_integer, parse_potential
 from .resonance import DEFAULT_IM_SCHEDULE
 from .trajectory import EnergyGrid
 
@@ -192,47 +192,3 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     return parse_config(data)
 
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Serialize a RunConfig back to the mapping accepted by parse_config."""
-    out: dict = {
-        "potential": potential_to_config(cfg.potential),
-        "channel": {
-            "l": cfg.channel.l,
-            "n_basis": cfg.channel.n_basis,
-            "scale": cfg.channel.scale,
-            "theta": cfg.channel.theta,
-            "quad_size": cfg.channel.quad_size,
-        },
-    }
-    scan: dict = {}
-    if cfg.scan.energy is not None:
-        scan["energy"] = {"re": cfg.scan.energy.real, "im": cfg.scan.energy.imag}
-    if cfg.scan.grid is not None:
-        g = cfg.scan.grid
-        scan["grid"] = {
-            "re_start": g.re_start,
-            "re_end": g.re_end,
-            "steps": g.steps,
-            "im_part": g.im_part,
-        }
-    if cfg.scan.guess is not None:
-        scan["guess"] = {"re": cfg.scan.guess.real, "im": cfg.scan.guess.imag}
-    scan["z_targets"] = list(cfg.scan.z_targets)
-    scan["im_schedule"] = list(cfg.scan.im_schedule)
-    scan["window"] = cfg.scan.window
-    out["scan"] = scan
-    out["stability"] = {
-        "lambda_values": list(cfg.stability.lambda_values),
-        "theta_values": list(cfg.stability.theta_values),
-        "n_values": list(cfg.stability.n_values),
-        "tolerance": cfg.stability.tolerance,
-    }
-    out["table"] = {"tables": list(cfg.table.tables)}
-    if cfg.table.tolerance is not None:
-        out["table"]["tolerance"] = cfg.table.tolerance
-    return out
-
-
-def dump_config(cfg: RunConfig) -> str:
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=False)

@@ -39,9 +39,6 @@ class EigenSet:
     values: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)
 
-    def __len__(self):
-        return len(self.values)
-
 
 def _checked_square(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)

@@ -67,9 +67,6 @@ class PotentialModel:
 
     terms: tuple[PotentialTerm, ...] = ()
 
-    def __call__(self, r):
-        return eval_potential(self, r)
-
 
 def eval_potential(model: PotentialModel, r):
     """Evaluate V(r) at real or complex radius r (scalar or array).
@@ -120,14 +117,6 @@ def parse_potential(fragment) -> PotentialModel:
         except ConfigError as exc:
             raise ConfigError(f"potential term {i}: {exc}") from exc
     return PotentialModel(tuple(terms))
-
-
-def potential_to_config(model: PotentialModel) -> list:
-    """Serialize a model to the config fragment accepted by parse_potential."""
-    return [
-        {"c": t.c, "p": t.p, "b": t.b, "s": t.s, "q": t.q}
-        for t in model.terms
-    ]
 
 
 # 7.5 r^2 exp(-r): the barrier-top benchmark potential used by the built-in

@@ -11,11 +11,11 @@ complex-symmetric problem L^-1 (S - Z) L^-T, and one dense eigensolve of
 that lists them all (`poles`); each seeds a Newton iteration on E, and
 accepted poles must sit on a plateau under variations of (lambda, theta, N).
 
-Refinement and `auto_search` share one assembly per (channel, potential)
-through `shared_hamiltonian`. A stability pass visits the channel's own
-grid point first and takes the converged pole itself as its entry, with no
-assembly or refinement; every other grid point assembles its own operator,
-so a stability pass never fills that cache.
+Refinement, `auto_search` and `trajectory.sweep` share one assembly per
+(channel, potential) through `shared_hamiltonian`. A stability pass visits
+the channel's own grid point first and takes the converged pole itself as
+its entry, with no assembly or refinement; every other grid point
+assembles its own operator, so a stability pass never fills that cache.
 """
 
 from __future__ import annotations
@@ -47,10 +47,12 @@ class StabilityReport:
     point (cfg.scale, cfg.theta, cfg.n_basis), that point comes first with
     the pole's own energy, then the other points at cfg.theta, then the
     rest, each group in itertools.product order; any other grid is visited
-    in product order. A plateau report lists every grid point. Any other
-    report lists the visited points up to and including the one that
+    in product order. A plateau report lists every grid point, and a grid
+    of fewer than 2 points gives no plateau: one point varies nothing. Any
+    other report lists the visited points up to and including the one that
     settled its verdict: the first that failed to converge, or whose energy
-    lay more than the tolerance from an earlier converged one.
+    lay more than the tolerance from an earlier converged one (a 1-point
+    grid's report lists its point).
     max_deviation is the maximum pairwise |dE| over the converged points
     listed. For a non-plateau report that prefix depends on the visiting
     order, so its max_deviation also depends on the order of the grid's
@@ -310,7 +312,7 @@ def _stability_reports(
         else:
             max_dev = 0.0
         all_converged = all(converged for *_, converged in rows)
-        plateau = all_converged and len(rows) == len(grid) > 0 and max_dev <= tolerance
+        plateau = all_converged and len(rows) == len(grid) > 1 and max_dev <= tolerance
         reports.append(StabilityReport(tuple(rows), max_dev, plateau))
     return reports
 
@@ -328,10 +330,11 @@ def stability_scan(
 
     `res` must be a converged pole of (cfg, model): at the channel's own
     grid point it stands for itself, unrefined. The plateau flag requires
-    every point to converge and the maximum pairwise |dE| to stay within
-    tolerance. The scan stops at the first point that rules a plateau out,
-    so a non-plateau report lists only the points visited up to that one
-    (see StabilityReport for the visiting order).
+    a grid of at least 2 points, every point to converge and the maximum
+    pairwise |dE| to stay within tolerance. The scan stops at the first
+    point that rules a plateau out, so a non-plateau report lists only the
+    points visited up to that one (see StabilityReport for the visiting
+    order).
     """
     (report,) = _stability_reports(
         [res], lambda_values, theta_values, n_values, cfg, model, tolerance
@@ -343,6 +346,8 @@ DEFAULT_IM_SCHEDULE = (-0.025, -0.1, -0.4, -1.6, -3.2, -6.4, -12.8, -25.6)
 
 
 def _default_stability_grid(cfg: ChannelConfig):
+    """The (lambda, theta, N) values `scan` varies: lambda halved and doubled,
+    theta moved by 0.05 either way (kept inside (0, pi/2)), N as is."""
     lams = (cfg.scale / 2, cfg.scale, 2 * cfg.scale)
     thetas = tuple(
         t for t in (cfg.theta - 0.05, cfg.theta, cfg.theta + 0.05) if 0 < t < np.pi / 2

@@ -16,8 +16,8 @@ import numpy as np
 from .basis import ChannelConfig
 from .eigensolver import eigenvalues
 from .errors import ChargePlaneError, EigensolverError
-from .hamiltonian import RotatedHamiltonian
 from .potential import PotentialModel
+from .resonance import shared_hamiltonian
 
 
 @dataclass(frozen=True)
@@ -100,19 +100,14 @@ def match_step(prev, nxt):
     return perm, flagged
 
 
-def sweep(
-    cfg: ChannelConfig,
-    model: PotentialModel,
-    grid: EnergyGrid,
-    ham: RotatedHamiltonian | None = None,
-) -> list[Trajectory]:
+def sweep(cfg: ChannelConfig, model: PotentialModel, grid: EnergyGrid) -> list[Trajectory]:
     """Trace all N eigenvalue branches over the energy grid.
 
-    Branch ids follow the sorted eigenvalue order of the first sample.
-    `ham` reuses a caller's assembly of the same (cfg, model).
+    Branch ids follow the sorted eigenvalue order of the first sample. The
+    operator is `resonance.shared_hamiltonian(cfg, model)`, the assembly
+    every other command of the same (cfg, model) uses.
     """
-    if ham is None:
-        ham = RotatedHamiltonian(cfg, model)
+    ham = shared_hamiltonian(cfg, model)
     energies = grid.energies()
     eigensets = []
     for e in energies:

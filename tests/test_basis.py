@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import eval_genlaguerre, gammaln
 
 from chargeplane import (
     ChannelConfig,
     ConfigError,
+    GAUSSIAN_WELL_POTENTIAL,
+    QuadratureRule,
     R2_EXP_POTENTIAL,
     build_j_matrix,
     gauss_rule,
@@ -90,6 +94,31 @@ class TestGaussRule:
         assert np.all(rule.nodes > 0)
         assert np.all(np.diff(rule.nodes) > 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 200), nu=st.sampled_from([1, 3, 5, 7]))
+    def test_nodes_strictly_ascending(self, m, nu):
+        # the rule takes the tridiagonal eigensolver's order as it comes
+        assert np.all(np.diff(gauss_rule(m, nu).nodes) > 0)
+
+    # Every reader of rule.vectors multiplies two entries of one column, so a
+    # column's sign cannot reach the potential matrix, bit for bit.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        l=st.integers(0, 3),
+        n=st.integers(1, 60),
+        oversample=st.integers(0, 20),
+        theta=st.floats(0.0, 1.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_column_signs_leave_potential_matrix_unchanged(self, l, n, oversample, theta, seed):
+        cfg = ChannelConfig(l=l, n_basis=n, scale=20.0, theta=theta, quad_size=n + oversample)
+        rule = gauss_rule(cfg.quad_size, cfg.nu)
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=rule.size)
+        flipped = QuadratureRule(rule.nu, rule.size, rule.nodes, rule.vectors * signs)
+        for model in (R2_EXP_POTENTIAL, GAUSSIAN_WELL_POTENTIAL):
+            got = potential_matrix(cfg, model, flipped)
+            assert got.tobytes() == potential_matrix(cfg, model, rule).tobytes()
+
     def test_deterministic(self):
         a = gauss_rule(20, 1.0)
         b = gauss_rule(20, 1.0)
@@ -154,7 +183,6 @@ class TestChannelConfig:
     def test_derived_quantities(self):
         cfg = ChannelConfig(l=2, n_basis=10, scale=5.0, theta=0.3)
         assert cfg.nu == 5
-        assert cfg.alpha == 3.0
         assert cfg.quad_size == 10
         assert cfg.rotated_scale == pytest.approx(5.0 * np.exp(-0.3j))
 

@@ -97,6 +97,13 @@ OUT_OF_RANGE = {
 }
 
 
+def _readme_config() -> dict:
+    """The run.yaml shown in the README."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```yaml\n# run\.yaml\n(.*?)```", readme, re.DOTALL)
+    return yaml.safe_load(block)
+
+
 def _write_cfg(tmp_path, data, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
@@ -105,11 +112,8 @@ def _write_cfg(tmp_path, data, name="run.yaml"):
 
 class TestEigs:
     def test_readme_config_runs(self, tmp_path, capsys):
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        (block,) = re.findall(r"```yaml\n# run\.yaml\n(.*?)```", readme, re.DOTALL)
-        cfg = tmp_path / "run.yaml"
-        cfg.write_text(block, encoding="utf-8")
-        assert main(["eigs", "--config", str(cfg)]) == 0
+        cfg = _write_cfg(tmp_path, _readme_config())
+        assert main(["eigs", "--config", cfg]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 200  # header, N charges
 
     def test_hydrogen_spectrum_to_stdout(self, tmp_path, capsys):
@@ -250,6 +254,33 @@ class TestStability:
         assert max(abs(last - first), abs(last - second)) == pytest.approx(
             report["max_deviation"]
         )
+
+    # Without a stability section the grid is scan's 3 x 3 (lambda, theta)
+    # grid around the channel: the README's genuine pole holds on all nine
+    # points, and an artifact that a 1-point grid called a plateau moves
+    # as soon as lambda does.
+    @pytest.mark.parametrize(
+        "guess, plateau",
+        [((3.43, -0.01), True), ((1.6604388954, -9.477618979), False)],
+        ids=["genuine", "artifact"],
+    )
+    def test_omitted_grid_is_the_scan_grid(self, tmp_path, guess, plateau):
+        data = _readme_config()
+        assert "stability" not in data
+        data["scan"]["guess"] = {"re": guess[0], "im": guess[1]}
+        cfg = _write_cfg(tmp_path, data)
+        out = tmp_path / "res"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        (rec,) = json.loads((out / "resonances.json").read_text())
+        assert rec["converged"] is True
+        report = rec["stability"]
+        assert report["plateau"] is plateau
+        if plateau:
+            assert len(report["grid"]) == 9
+            assert report["max_deviation"] <= 1e-8
+        else:
+            assert len(report["grid"]) >= 2
+            assert report["max_deviation"] > 1e-8
 
     def test_readme_pole_lists_full_grid(self, tmp_path):
         data = {

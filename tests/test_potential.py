@@ -12,7 +12,6 @@ from chargeplane import (
     eval_potential,
     parse_potential,
 )
-from chargeplane.potential import potential_to_config
 
 
 class TestEval:
@@ -82,10 +81,6 @@ class TestParse:
     def test_empty_fragment(self):
         assert eval_potential(parse_potential([]), 2.0) == 0.0
         assert eval_potential(parse_potential(None), 2.0) == 0.0
-
-    def test_round_trip(self):
-        frag = potential_to_config(GAUSSIAN_WELL_POTENTIAL)
-        assert parse_potential(frag) == GAUSSIAN_WELL_POTENTIAL
 
     @pytest.mark.parametrize(
         "frag",

@@ -132,12 +132,12 @@ class TestPoles:
         # the scan configuration: crossings read off sampled trajectories at
         # a few Im E, refined, must each be a pencil eigenvalue
         cfg = _cfg(n=150)
-        ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
+        ham = shared_hamiltonian(cfg, R2_EXP_POTENTIAL)
         listed = poles(ham, 0.0)
         checked = []
         for im_part in (-0.025, -1.6, -3.2, -6.4):
             grid = EnergyGrid(0.0, 10.0, 51, im_part)
-            trajectories = sweep(cfg, R2_EXP_POTENTIAL, grid, ham=ham)
+            trajectories = sweep(cfg, R2_EXP_POTENTIAL, grid)
             for cand in detect_crossings(trajectories, [0.0], window=1.0):
                 res = refine_resonance(cand.e_guess, 0.0, cfg, R2_EXP_POTENTIAL, ham)
                 if res.converged and not outside_exposure_window(res.energy, cfg.theta):
@@ -635,7 +635,7 @@ def full_grid_stability_reports(
         else:
             max_dev = 0.0
         all_converged = all(converged for *_, converged in rows)
-        plateau = all_converged and bool(rows) and max_dev <= tolerance
+        plateau = all_converged and len(rows) > 1 and max_dev <= tolerance
         reports.append(StabilityReport(tuple(rows), max_dev, plateau))
     return reports
 
@@ -660,13 +660,13 @@ def _settled(rows, tolerance) -> bool:
 
 
 class TestStabilityScan:
-    def test_single_point_grid_is_a_plateau(self):
+    def test_single_point_grid_is_not_a_plateau(self):
+        # one point varies no parameter, so it cannot show a plateau
         cfg = _cfg(n=120)
         res = refine_resonance(-0.4 + 0.0j, -1.0, cfg, EMPTY)
         report = stability_scan(res, [20.0], [0.7], [120], cfg, EMPTY)
-        assert report.plateau
-        assert report.max_deviation == 0.0
-        assert len(report.entries) == 1
+        assert not report.plateau
+        assert report.entries == ((20.0, 0.7, 120, res.energy, True),)
 
     def test_genuine_pole_survives_parameter_changes(self):
         cfg = _cfg(n=150)

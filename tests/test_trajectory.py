@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from chargeplane.basis import ChannelConfig
 from chargeplane.eigensolver import eigen_decompose
 from chargeplane.errors import ChargePlaneError
-from chargeplane.hamiltonian import RotatedHamiltonian
 from chargeplane.potential import GAUSSIAN_WELL_POTENTIAL, PotentialModel
+from chargeplane.resonance import shared_hamiltonian
 from chargeplane.trajectory import EnergyGrid, match_step, sweep
 
 EMPTY = PotentialModel(terms=())
@@ -168,8 +168,9 @@ class TestSweep:
     def test_values_match_eigen_decompose(self):
         cfg = ChannelConfig(l=0, n_basis=40, scale=20.0, theta=0.7, quad_size=40)
         grid = EnergyGrid(re_start=1.0, re_end=5.0, steps=6, im_part=-0.5)
-        ham = RotatedHamiltonian(cfg, GAUSSIAN_WELL_POTENTIAL)
-        trajs = sweep(cfg, GAUSSIAN_WELL_POTENTIAL, grid, ham=ham)
+        trajs = sweep(cfg, GAUSSIAN_WELL_POTENTIAL, grid)
+        ham = shared_hamiltonian(cfg, GAUSSIAN_WELL_POTENTIAL)
+        assert shared_hamiltonian.cache_info().misses == 1  # the sweep's assembly
         for k, e in enumerate(grid.energies()):
             mat = ham.matrix(e)
             swept = np.sort_complex(np.array([t.z_values[k] for t in trajs]))
