@@ -22,7 +22,7 @@ def fmt(x) -> str:
 
 
 def _round_sig(x):
-    return float(fmt(x))
+    return None if x is None else float(fmt(x))
 
 
 def eigenvalues_to_lines(values) -> str:

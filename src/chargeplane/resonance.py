@@ -10,6 +10,8 @@ so the bidiagonal Cholesky factor L of J reduces the pencil to the standard
 complex-symmetric problem L^-1 (S - Z) L^-T, and one dense eigensolve of
 that lists them all (`poles`); each seeds a Newton iteration on E, and
 accepted poles must sit on a plateau under variations of (lambda, theta, N).
+Refinement refactors only when a solve fails to cut the backward error below
+REFACTOR_RATIO (0.3) times the last; `Resonance.iterations` counts solves.
 
 Refinement, `auto_search` and `trajectory.sweep` share one assembly per
 (channel, potential) through `shared_hamiltonian`. A stability pass visits
@@ -34,7 +36,7 @@ from .potential import PotentialModel
 
 RESIDUAL_TOL = 1e-10
 MAX_ITER = 50
-START_STEPS = 3
+REFACTOR_RATIO = 0.3
 DEDUP_TOL = 1e-6
 ASSEMBLY_CACHE_SIZE = 4
 
@@ -54,14 +56,14 @@ class StabilityReport:
     lay more than the tolerance from an earlier converged one (a 1-point
     grid's report lists its point).
     max_deviation is the maximum pairwise |dE| over the converged points
-    listed. For a non-plateau report that prefix depends on the visiting
-    order, so its max_deviation also depends on the order of the grid's
-    lambda, theta and N values; only a plateau report's max_deviation, the
-    spread over the whole grid, is a property of the pole alone.
+    listed, None for fewer than 2 (nothing was compared). A non-plateau
+    report's prefix, and so its max_deviation, depends on the order of the
+    grid's lambda, theta and N values; only a plateau report's, the spread
+    over the whole grid, is a property of the pole alone.
     """
 
     entries: tuple = ()  # (lambda, theta, N, energy, converged) tuples
-    max_deviation: float = 0.0
+    max_deviation: float | None = None
     plateau: bool = False
 
 
@@ -73,7 +75,7 @@ class Resonance:
     l: int
     energy: complex
     converged: bool
-    iterations: int = 0
+    iterations: int = 0  # solves, each with its own Rayleigh quotient
     residual: float = np.inf  # backward error ||(M(E) - Z_t) x|| at ||x|| = 1
     stability: StabilityReport | None = None
 
@@ -163,23 +165,26 @@ def refine_resonance(
     With M(E) = S + E*D, the Newton step from an eigenpair (Z, x) of M(E)
     with the analytic slope dZ/dE = x.T D x / x.T x lands at
     E' = -x.T (S - Z_t) x / x.T D x, the c-product Rayleigh quotient of the
-    pencil (S - Z_t) + E*D. So each step takes that quotient and updates x
-    by one inverse-iteration solve, x <- (M(E) - Z_t)^-1 D x, in place of a
-    full eigendecomposition. The start vector is a fixed vector after
-    START_STEPS inverse-iteration solves with M(guess) - Z_t, which selects
-    the branch whose Z is nearest Z_t at the guess.
+    pencil (S - Z_t) + E*D. Each step is one inverse-iteration solve,
+    x <- F^-1 b (b the ones vector first, D x after), then that quotient E
+    and the backward error ||(M(E) - Z_t) x|| at ||x|| = 1, in place of a
+    full eigendecomposition. F holds the LDL^T factors of M(guess) - Z_t
+    until a step's error fails to fall below REFACTOR_RATIO times the
+    previous step's (the first step is never compared); then M(E) - Z_t is
+    refactored at that step's E. So a shift that still converges fast costs
+    no factorization, and the first solves select the branch whose Z is
+    nearest Z_t at the guess. `iterations` counts the solves.
 
-    A step costs one LDL^T factorization of the complex-symmetric
-    M(E) - Z_t (Bunch-Kaufman, half the flops of LU; it reads one triangle,
-    so `ham.matrix` must be exactly symmetric), one dense product S x and
-    the O(N) band product D x, from which both the quotient and the
-    residual (M(E) - Z_t) x = (S x - Z_t x) + E D x follow. The iteration
-    stops when that backward error, with ||x|| = 1, is at most
-    RESIDUAL_TOL; after MAX_ITER steps without that, non-convergence is
-    reported in-band (converged = False). Raises EigensolverError on a
-    non-finite guess, an exactly singular M(guess) - Z_t, or a non-finite
-    solve. `ham`, if given, must assemble (cfg, model); without it the
-    operator is shared_hamiltonian(cfg, model).
+    LDL^T (Bunch-Kaufman, `_ldlt_factor`) reads one triangle, so
+    `ham.matrix` must be exactly symmetric. A step also costs a dense
+    product S x and the O(N) band product D x, which give both the quotient
+    and the residual (M(E) - Z_t) x = (S x - Z_t x) + E D x. The iteration
+    stops when that backward error is at most RESIDUAL_TOL; after MAX_ITER
+    steps without that, non-convergence is reported in-band
+    (converged = False). Raises EigensolverError on a non-finite guess, an
+    exactly singular M(guess) - Z_t, or a non-finite solve. `ham`, if given,
+    must assemble (cfg, model); without it the operator is
+    shared_hamiltonian(cfg, model).
     """
     if not np.isfinite(guess):
         raise EigensolverError(f"non-finite energy guess {guess}")
@@ -187,25 +192,24 @@ def refine_resonance(
         raise EigensolverError(f"non-finite target charge {z_target}")
     if ham is None:
         ham = shared_hamiltonian(cfg, model)
-    # The one operator-sized array of a refinement: each step writes
-    # M(E) - Z_t into it and factors it there, and (S - Z_t) x is taken as
-    # S x - Z_t x. With an N x N temporary per step or per refinement, glibc
-    # gave the memory back on free and page-faulted it in again (280 to 440
-    # minor faults per refinement at N = 200).
+    # The one operator-sized array of a refinement: every M(E) - Z_t is
+    # written and factored there, and (S - Z_t) x is taken as S x - Z_t x.
+    # With an N x N temporary per step or per refinement, glibc returned it
+    # on free and page-faulted it in again (280-440 faults at N = 200).
     mat = ham.matrix(guess, z_target)
     factors = _ldlt_factor(mat)
-    x = np.ones(cfg.n_basis, dtype=complex)
-    for _ in range(START_STEPS):
-        x = _ldlt_solve(factors, x)
+    rhs, previous = np.ones(cfg.n_basis, dtype=complex), np.inf
     for iterations in range(1, MAX_ITER + 1):
+        x = _ldlt_solve(factors, rhs)
         sx = ham.apply_static(x) - z_target * x
-        dx = ham.apply_derivative(x)
-        energy = complex(-(x @ sx) / (x @ dx))
-        residual = float(np.linalg.norm(sx + energy * dx))
+        rhs = ham.apply_derivative(x)
+        energy = complex(-(x @ sx) / (x @ rhs))
+        residual = float(np.linalg.norm(sx + energy * rhs))
         if residual <= RESIDUAL_TOL or iterations == MAX_ITER:
             break
-        mat = ham.matrix(energy, z_target, out=mat)
-        x = _ldlt_solve(_ldlt_factor(mat, at_iterate=True), dx)
+        if not residual < REFACTOR_RATIO * previous:  # true for a NaN error too
+            factors = _ldlt_factor(ham.matrix(energy, z_target, out=mat), at_iterate=True)
+        previous = residual
     return Resonance(z_target, cfg.l, energy, residual <= RESIDUAL_TOL, iterations, residual)
 
 
@@ -305,12 +309,8 @@ def _stability_reports(
                 live.remove(i)
     reports = []
     for rows in entries:
-        energies = [energy for *_, energy, converged in rows if converged]
-        if len(energies) >= 2:
-            arr = np.array(energies)
-            max_dev = float(np.abs(arr[:, None] - arr[None, :]).max())
-        else:
-            max_dev = 0.0
+        arr = np.array([energy for *_, energy, converged in rows if converged])
+        max_dev = float(np.abs(arr[:, None] - arr).max()) if len(arr) > 1 else None
         all_converged = all(converged for *_, converged in rows)
         plateau = all_converged and len(rows) == len(grid) > 1 and max_dev <= tolerance
         reports.append(StabilityReport(tuple(rows), max_dev, plateau))

@@ -399,6 +399,17 @@ class TestTable:
         assert main(["table", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
         assert sorted(built) == [0, 1, 2]
 
+    def test_output_matches_the_golden_file(self, tmp_path):
+        # the README config with both built-in tables; a change in
+        # arithmetic may move a table energy by rounding noise (about 1e-14)
+        # but never a printed digit, so this file changes only with an
+        # intended change of the output
+        data = {**_readme_config(), "table": {"tables": ["table1", "table2_spot"]}}
+        out = tmp_path / "t"
+        assert main(["table", "--config", _write_cfg(tmp_path, data), "--out", str(out)]) == 0
+        golden = Path(__file__).parent / "data" / "table_readme.txt"
+        assert (out / "table.txt").read_bytes() == golden.read_bytes()
+
 
 class TestSharedAssembly:
     def _count_assemblies(self, monkeypatch):

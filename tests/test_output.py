@@ -90,6 +90,12 @@ class TestResonanceJson:
         }
         assert "e_r" not in st["grid"][1]
 
+    def test_unmeasured_spread_is_null(self):
+        report = StabilityReport(entries=((20.0, 0.7, 100, 1.0 - 0.5j, True),))
+        text = resonances_to_json([Resonance(0.0, 0, 1.0 - 0.5j, True, stability=report)])
+        assert '"max_deviation": null' in text
+        assert json.loads(text)[0]["stability"]["max_deviation"] is None
+
 
 class TestSvg:
     def test_structure(self):

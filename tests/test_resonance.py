@@ -24,8 +24,8 @@ from chargeplane.potential import GAUSSIAN_WELL_POTENTIAL, R2_EXP_POTENTIAL, Pot
 from chargeplane.reference import DEFAULT_CHANNEL, run_table
 from chargeplane.resonance import (
     MAX_ITER,
+    REFACTOR_RATIO,
     RESIDUAL_TOL,
-    START_STEPS,
     Resonance,
     StabilityReport,
     _refine_at_point,
@@ -265,11 +265,11 @@ def dense_derivative(ham) -> np.ndarray:
     return build_j_matrix(ham.cfg.n_basis, ham.cfg.nu) / ham.cfg.rotated_scale
 
 
-# The dense Rayleigh-quotient loop that forms a fresh M(E) - Z_t with an
-# identity shift at every step, takes the residual by a third product, and
-# factors a C-ordered copy through scipy's LDL^T wrappers with the same
-# blocked workspace: the oracle whose every energy, step count and verdict
-# the lean loop must reproduce exactly.
+# The dense loop that forms a fresh M(E) - Z_t with an identity shift at
+# every step, takes the residual by a third product, and factors a C-ordered
+# copy through scipy's LDL^T wrappers with the same blocked workspace, under
+# the same refactoring rule: the oracle whose every energy, step count and
+# verdict the lean loop must reproduce exactly.
 def dense_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
     shift = z_target * np.eye(cfg.n_basis)
     static = ham.matrix(0.0)
@@ -293,17 +293,19 @@ def dense_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
         return x / norm
 
     factors = factor(ham.matrix(guess) - shift)
-    x = np.ones(cfg.n_basis, dtype=complex)
-    for _ in range(START_STEPS):
-        x = solve(factors, x)
+    rhs = np.ones(cfg.n_basis, dtype=complex)
+    previous = np.inf
     for iterations in range(1, MAX_ITER + 1):
-        dx = ham.apply_derivative(x)
-        energy = complex(-(x @ (static @ x - z_target * x)) / (x @ dx))
+        x = solve(factors, rhs)
+        rhs = ham.apply_derivative(x)
+        energy = complex(-(x @ (static @ x - z_target * x)) / (x @ rhs))
         mat = ham.matrix(energy) - shift
         residual = float(np.linalg.norm(mat @ x))
         if residual <= RESIDUAL_TOL:
             return Resonance(z_target, cfg.l, energy, True, iterations, residual)
-        x = solve(factor(mat, at_iterate=True), dx)
+        if not residual < REFACTOR_RATIO * previous:
+            factors = factor(mat, at_iterate=True)
+        previous = residual
     return Resonance(z_target, cfg.l, energy, False, MAX_ITER, residual)
 
 
@@ -322,18 +324,55 @@ def lu_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
         return x / norm
 
     lu = lu_factor(ham.matrix(guess) - shift, check_finite=False)
-    x = np.ones(cfg.n_basis, dtype=complex)
-    for _ in range(START_STEPS):
-        x = solve(lu, x)
+    rhs = np.ones(cfg.n_basis, dtype=complex)
+    previous = np.inf
     for iterations in range(1, MAX_ITER + 1):
-        dx = deriv_mat @ x
-        energy = complex(-(x @ (shifted @ x)) / (x @ dx))
+        x = solve(lu, rhs)
+        rhs = deriv_mat @ x
+        energy = complex(-(x @ (shifted @ x)) / (x @ rhs))
         mat = ham.matrix(energy) - shift
         residual = float(np.linalg.norm(mat @ x))
         if residual <= RESIDUAL_TOL:
             return Resonance(z_target, cfg.l, energy, True, iterations, residual)
-        x = solve(lu_factor(mat, check_finite=False), dx)
+        if not residual < REFACTOR_RATIO * previous:
+            lu = lu_factor(mat, check_finite=False)
+        previous = residual
     return Resonance(z_target, cfg.l, energy, False, MAX_ITER, residual)
+
+
+# Rayleigh-quotient iteration that refactors at every step, after three
+# inverse-iteration solves at the guess: the oracle that the refactoring
+# rule changes what a refinement costs, not the pole it finds.
+def rqi_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
+    mat = ham.matrix(guess, z_target)
+    factors = resonance._ldlt_factor(mat)
+    x = np.ones(cfg.n_basis, dtype=complex)
+    for _ in range(3):
+        x = resonance._ldlt_solve(factors, x)
+    for iterations in range(1, MAX_ITER + 1):
+        sx = ham.apply_static(x) - z_target * x
+        dx = ham.apply_derivative(x)
+        energy = complex(-(x @ sx) / (x @ dx))
+        residual = float(np.linalg.norm(sx + energy * dx))
+        if residual <= RESIDUAL_TOL or iterations == MAX_ITER:
+            break
+        mat = ham.matrix(energy, z_target, out=mat)
+        x = resonance._ldlt_solve(resonance._ldlt_factor(mat, at_iterate=True), dx)
+    return Resonance(z_target, cfg.l, energy, residual <= RESIDUAL_TOL, iterations, residual)
+
+
+def _record_factorizations(monkeypatch) -> list:
+    """(at_iterate, pivot diagonal) of every later _ldlt_factor call."""
+    factored = []
+    original = resonance._ldlt_factor
+
+    def recording(mat, at_iterate=False):
+        ldu, ipiv = original(mat, at_iterate)
+        factored.append((at_iterate, np.diagonal(ldu).copy()))
+        return ldu, ipiv
+
+    monkeypatch.setattr(resonance, "_ldlt_factor", recording)
+    return factored
 
 
 class _SingularOperator:
@@ -348,9 +387,10 @@ class _SingularOperator:
 
 class _PoleAtIterate:
     """S = diag(0, 1, 2) and D = I, so E = 0 is a pole of Z_t = 0. The first
-    M(E) - Z_t, at the guess, is diag(0.1, 1.1, 2.1); every later one is
-    exactly diag(0, 1, 2), as if each iterate landed on the pole to the
-    last bit."""
+    M(E) - Z_t, at the guess, is diag(0.8, 1.8, 2.8), a shift whose inverse
+    iteration converges too slowly to keep (the ratio 0.8 / 1.8 exceeds
+    REFACTOR_RATIO); every later one is exactly diag(0, 1, 2), as if the
+    iterate landed on the pole to the last bit."""
 
     static = np.diag([0.0, 1.0, 2.0]).astype(complex)
 
@@ -359,7 +399,7 @@ class _PoleAtIterate:
 
     def matrix(self, energy, z=0.0, out=None):
         self.calls += 1
-        return self.static + (0.1 * np.eye(3) if self.calls == 1 else 0.0)
+        return self.static + (0.8 * np.eye(3) if self.calls == 1 else 0.0)
 
     def apply_static(self, x):
         return self.static @ x
@@ -414,8 +454,9 @@ class TestLeanStep:
         assert lean.converged == dense.converged
         assert lean.residual == pytest.approx(dense.residual, rel=0, abs=1e-12)
 
-    # Over 1,500 draws of these ranges both loops converged in the same
-    # number of steps, with energies at most 1.0e-13 of max(1, |E|) apart.
+    # Over 4,500 draws of these ranges both loops converged in the same
+    # number of steps, with energies at most 8.4e-13 of max(1, |E|) apart
+    # (one draw; all others within 2.5e-13).
     @settings(max_examples=60, deadline=None)
     @given(**_DRAWS)
     def test_agrees_with_the_lu_loop(self, l, n, scale, theta, z_target, pick, rel):
@@ -428,6 +469,17 @@ class TestLeanStep:
         assume(lu.converged and ldlt.converged)
         assert abs(ldlt.energy - lu.energy) <= 1e-12 * max(1.0, abs(lu.energy))
 
+    # Over 2,000 draws of these ranges with |rel| <= 1e-3, both loops
+    # converged, with energies at most 3.4e-13 of max(1, |E|) apart.
+    @settings(max_examples=60, deadline=None)
+    @given(**{**_DRAWS, "rel": st.complex_numbers(max_magnitude=1e-3)})
+    def test_finds_the_pole_of_the_rqi_loop(self, l, n, scale, theta, z_target, pick, rel):
+        cfg, ham, guess = _drawn_guess(l, n, scale, theta, z_target, pick, rel)
+        kept = refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
+        rqi = rqi_refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
+        assert kept.converged and rqi.converged
+        assert abs(kept.energy - rqi.energy) <= 1e-12 * max(1.0, abs(rqi.energy))
+
     def test_singular_matrix_raises_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -435,13 +487,17 @@ class TestLeanStep:
                 refine_resonance(1.0, 0.0, _cfg(n=3), EMPTY,
                                  ham=_SingularOperator(np.diag([1.0, 0.0, 2.0])))
 
-    def test_exactly_singular_iterate_converges_without_warnings(self):
+    def test_exactly_singular_iterate_converges_without_warnings(self, monkeypatch):
+        factored = _record_factorizations(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = refine_resonance(0.1, 0.0, _cfg(n=3), EMPTY, ham=_PoleAtIterate())
+            res = refine_resonance(0.8, 0.0, _cfg(n=3), EMPTY, ham=_PoleAtIterate())
         assert res.converged
-        assert res.iterations == 2  # the singular step's solve is the null vector
         assert abs(res.energy) <= 1e-15
+        # the refactor at the iterate met the exact zero pivot of diag(0, 1, 2)
+        # and replaced it by eps times the largest pivot, 2
+        assert [at_iterate for at_iterate, _ in factored] == [False, True]
+        assert factored[1][1][0] == 2 * np.finfo(float).eps
 
     def test_singular_after_a_two_by_two_pivot_raises_without_warnings(self):
         _, ipiv, info = zsytrf(np.array(TWO_BY_TWO_SINGULAR, dtype=complex))
@@ -471,6 +527,27 @@ class TestRunTable:
         rows = run_table(table)
         assert all(r.ok for r in rows)
         assert sorted(built) == sorted({r.l for r in rows})
+
+
+class TestFactorizationCount:
+    """A refinement keeps its factors while inverse iteration converges
+    fast, so a coarse table guess costs one factorization."""
+
+    def test_one_factorization_per_table_row(self, monkeypatch):
+        factored = _record_factorizations(monkeypatch)
+        with cli._one_blas_thread():
+            rows = run_table("table1") + run_table("table2_spot")
+        assert len(rows) == 24 and all(r.ok for r in rows)
+        assert [at_iterate for at_iterate, _ in factored] == [False] * 24
+
+    def test_scan_pass_refactors_less_than_every_step(self, monkeypatch):
+        # the benchmark's scan configuration; refactoring at every step, as
+        # rqi_refine_resonance does, takes 158 factorizations here
+        factored = _record_factorizations(monkeypatch)
+        with cli._one_blas_thread():
+            found = auto_search(_cfg(n=150), R2_EXP_POTENTIAL, [0.0])
+        assert sum(r.stability.plateau for r in found) == 4
+        assert len(factored) < 158
 
 
 class TestSharedHamiltonian:
@@ -629,11 +706,10 @@ def full_grid_stability_reports(
     reports = []
     for rows in entries:
         energies = [energy for *_, energy, converged in rows if converged]
+        max_dev = None
         if len(energies) >= 2:
             arr = np.array(energies)
             max_dev = float(np.abs(arr[:, None] - arr[None, :]).max())
-        else:
-            max_dev = 0.0
         all_converged = all(converged for *_, converged in rows)
         plateau = all_converged and len(rows) > 1 and max_dev <= tolerance
         reports.append(StabilityReport(tuple(rows), max_dev, plateau))
@@ -667,6 +743,7 @@ class TestStabilityScan:
         report = stability_scan(res, [20.0], [0.7], [120], cfg, EMPTY)
         assert not report.plateau
         assert report.entries == ((20.0, 0.7, 120, res.energy, True),)
+        assert report.max_deviation is None  # nothing was compared
 
     def test_genuine_pole_survives_parameter_changes(self):
         cfg = _cfg(n=150)
@@ -706,6 +783,7 @@ class TestStabilityScan:
         assert not report.plateau
         assert report.entries[1][1:] == (0.6, 60, None, False)
         assert len(report.entries) == 2
+        assert report.max_deviation is None  # one converged entry
 
     def test_unconverged_pole_settles_at_its_own_point(self):
         cfg = _cfg(n=60)
