@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, EigensolverError
 
@@ -109,22 +108,18 @@ def build_j_matrix(m: int, nu: float) -> np.ndarray:
 def gauss_rule(m: int, nu: float) -> QuadratureRule:
     """Gauss quadrature of size m from diagonalizing the J matrix.
 
-    Nodes come ascending from the tridiagonal eigensolver. Column signs are
+    Nodes come ascending from numpy's symmetric eigensolver (LAPACK syevd)
+    on the dense J, an O(m^3) solve made once per (m, nu). Column signs are
     left as the solver returns them: every use of the rule multiplies two
     entries of one column, vectors[n, k] * vectors[m, k], and negating both
     factors leaves that product, and so every sum of such products, exact
     to the bit. Rules are cached by (m, nu) and shared between callers,
     which is safe because their arrays are read-only.
     """
-    diag, off = j_matrix_bands(m, nu)
     try:
-        if m == 1:
-            nodes = diag.copy()
-            vectors = np.ones((1, 1))
-        else:
-            nodes, vectors = eigh_tridiagonal(diag, off)
+        nodes, vectors = np.linalg.eigh(build_j_matrix(m, nu))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - not expected
-        raise EigensolverError(f"tridiagonal eigensolver failed at order {m}", order=m) from exc
+        raise EigensolverError(f"J-matrix eigensolver failed at order {m}", order=m) from exc
     nodes.setflags(write=False)
     vectors.setflags(write=False)
     return QuadratureRule(nu=nu, size=m, nodes=nodes, vectors=vectors)

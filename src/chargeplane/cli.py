@@ -19,13 +19,13 @@ import cmath
 import contextlib
 import ctypes
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
 from .config import RunConfig, load_config
 from .eigensolver import eigen_decompose
 from .errors import ChargePlaneError, ConfigError, EigensolverError
+from .lapack import openblas_paths
 from .output import (
     eigenvalues_to_lines,
     resonances_to_json,
@@ -196,14 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _openblas_thread_controls() -> list[tuple]:
     """(get, set) thread-count functions of every OpenBLAS loaded into this
-    process; numpy and scipy each bundle their own. Empty where none is found."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh}
-    except OSError:
-        return []
+    process (`lapack.openblas_paths`). Empty where none is found."""
     controls = []
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+    for path in openblas_paths():
         lib = ctypes.CDLL(path)
         for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)

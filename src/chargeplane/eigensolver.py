@@ -8,8 +8,9 @@ formula, where left eigenvectors are transposes of right ones.
 Two solvers share one ordering. `eigen_decompose` returns eigenvectors and
 checks each eigenpair's residual, an O(N^3) matmul. `eigenvalues` returns the
 values alone and checks only that they sum to the trace, an O(N^2) check;
-trajectory sweeps use it because they need no eigenvectors. The two run
-different LAPACK routines, so their values differ by up to about an
+trajectory sweeps use it because they need no eigenvectors. Both call
+numpy's LAPACK zgeev, which takes a different QR path with eigenvectors
+(Schur form) than without, so their values differ by up to about an
 eigenvalue's condition number times the rounding error in M: in the last
 digits for well-conditioned charges, more for ill-conditioned large-|Z| ones.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateEigenvectorError, EigensolverError
 
@@ -58,10 +58,8 @@ def _sorted_order(values: np.ndarray) -> np.ndarray:
 def eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a dense complex matrix, without eigenvectors.
 
-    Sorted like EigenSet.values. LAPACK gets mat.T (same eigenvalues), which
-    is Fortran-ordered when mat is C-ordered, so a writable C-ordered matrix
-    is overwritten in place rather than copied; a read-only one is left
-    intact. Sweeps pass a fresh M(E). Raises
+    Sorted like EigenSet.values. mat is left intact: LAPACK works on a
+    copy, an O(N^2) cost next to the O(N^3) solve. Raises
     EigensolverError on LAPACK non-convergence, on non-finite values, or
     when |sum(z) - tr M| exceeds TRACE_BOUND * ||M||_F, the O(N^2) check
     that stands in for eigen_decompose's per-eigenpair residuals.
@@ -71,7 +69,7 @@ def eigenvalues(mat: np.ndarray) -> np.ndarray:
     trace = complex(np.trace(mat))
     scale = float(np.linalg.norm(mat, "fro"))
     try:
-        values = scipy.linalg.eigvals(mat.T, overwrite_a=mat.flags.writeable, check_finite=False)
+        values = np.linalg.eigvals(mat)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"QR iteration failed at order {n}: {exc}", order=n) from exc
     if not np.all(np.isfinite(values)):

@@ -1,0 +1,157 @@
+"""LAPACK's complex-symmetric LDL^T factorization (zsytrf) and solve (zsytrs),
+called in the OpenBLAS that numpy loads, with scipy.linalg as the fallback.
+
+numpy's wheels bundle an ILP64 OpenBLAS that exports all of LAPACK under
+`scipy_` names with a `64_` suffix, so refinement needs no scipy import,
+which costs a cold process more than numpy itself. Its Fortran interface is
+called through ctypes: every integer is an int64 passed by reference, and
+the one-character `uplo` argument takes a hidden length argument at the
+end. Where those symbols are missing (numpy built on MKL or on a system
+LAPACK, or no readable /proc/self/maps), `scipy.linalg`'s wrappers are used
+instead. The two libraries' pivot arrays differ in integer width, so
+factors carry their own solve, and only the library that made them solves
+with them.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+from functools import lru_cache
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+_UPPER = ctypes.c_char_p(b"U")
+_UPLO_LENGTH = ctypes.c_size_t(1)
+_ONE = ctypes.byref(ctypes.c_int64(1))
+
+
+class Factors(NamedTuple):
+    """Bunch-Kaufman factors of a complex-symmetric matrix A, computed in the
+    memory of the array that held A, so D lies on its diagonal. info > 0 marks
+    an exactly zero 1 x 1 pivot of D, which LAPACK leaves in place; ipiv > 0
+    marks a 1 x 1 pivot. solve(b) overwrites b, a writable contiguous
+    complex128 vector of the matrix's order, with A^-1 b."""
+
+    ipiv: np.ndarray
+    info: int
+    solve: Callable[[np.ndarray], None]
+
+
+def openblas_paths() -> list[str]:
+    """Paths of every OpenBLAS loaded into this process, sorted: numpy's,
+    and scipy's once scipy.linalg is imported. Empty where none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return []
+    return sorted(p for p in paths if "openblas" in os.path.basename(p))
+
+
+def _check_rhs(b: np.ndarray, n: int):
+    if not (b.shape == (n,) and b.dtype == np.complex128 and b.flags.c_contiguous
+            and b.flags.writeable):
+        raise ValueError(f"expected a writable contiguous complex128 vector of length {n}")
+
+
+class _OpenBLAS:
+    """zsytrf/zsytrs of an ILP64 OpenBLAS. Every argument is a ctypes object
+    of its exact C type, so the functions take no argtypes, whose conversion
+    would cost more than the call itself at refinement's small orders; arrays
+    are passed as ctypes views of their buffers, which keep them alive. The
+    functions are loaded through PyDLL and so hold the interpreter lock, as
+    scipy's wrappers do: the workspace kept per order is never used by two
+    calls at once."""
+
+    def __init__(self, lib: ctypes.PyDLL):
+        self._sytrf, self._sytrs = lib.scipy_zsytrf_64_, lib.scipy_zsytrs_64_
+        self._sytrf.restype = self._sytrs.restype = None
+
+    @lru_cache(maxsize=8)
+    def _order(self, n: int) -> tuple:
+        """The arguments fixed at order n: the order, the workspace from
+        LAPACK's query (lwork = -1), held so that a factorization allocates
+        none, its length, and the ctypes types of an n x n matrix, n pivots
+        and an n-vector."""
+        order, lwork, info = ctypes.c_int64(n), ctypes.c_int64(-1), ctypes.c_int64()
+        query = np.zeros(1, dtype=np.complex128)
+        ptr = ctypes.c_void_p(query.ctypes.data)  # A is not read by the query
+        self._sytrf(_UPPER, ctypes.byref(order), ptr, ctypes.byref(order), None, ptr,
+                    ctypes.byref(lwork), ctypes.byref(info), _UPLO_LENGTH)
+        work = np.empty(max(1, int(query[0].real)), dtype=np.complex128)
+        lwork.value = len(work)
+        types = (ctypes.c_char * (16 * n * n), ctypes.c_char * (8 * n), ctypes.c_char * (16 * n))
+        return (ctypes.byref(order), (ctypes.c_char * work.nbytes).from_buffer(work),
+                ctypes.byref(lwork), *types)
+
+    def factor(self, a: np.ndarray) -> Factors:
+        # a is C-ordered, so LAPACK reads it as a.T, the same symmetric matrix
+        n = len(a)
+        order, work, lwork, matrix_type, pivots_type, rhs_type = self._order(n)
+        ipiv = np.empty(n, dtype=np.int64)
+        a_arg, ipiv_arg = matrix_type.from_buffer(a), pivots_type.from_buffer(ipiv)
+        info = ctypes.c_int64()
+        info_arg = ctypes.byref(info)
+        self._sytrf(_UPPER, order, a_arg, order, ipiv_arg, work, lwork, info_arg, _UPLO_LENGTH)
+        sytrs = self._sytrs
+
+        def solve(b: np.ndarray):
+            _check_rhs(b, n)
+            sytrs(_UPPER, order, _ONE, a_arg, order, ipiv_arg, rhs_type.from_buffer(b), order,
+                  info_arg, _UPLO_LENGTH)
+
+        return Factors(ipiv, info.value, solve)
+
+
+class _SciPy:
+    """scipy.linalg's zsytrf/zsytrs, for a numpy without the ILP64 symbols."""
+
+    def __init__(self):
+        import scipy.linalg
+
+        self._sytrf, self._sytrs, self._sytrf_lwork = scipy.linalg.get_lapack_funcs(
+            ("sytrf", "sytrs", "sytrf_lwork"), dtype=np.complex128
+        )
+
+    @lru_cache(maxsize=8)
+    def _lwork(self, n: int) -> int:
+        # the wrapper's default, n, leaves room for no block: sytrf would run unblocked
+        work, _ = self._sytrf_lwork(n)
+        return int(work.real)
+
+    def factor(self, a: np.ndarray) -> Factors:
+        # a.T is Fortran-ordered, so the wrapper factors it without a copy
+        ldu, ipiv, info = self._sytrf(a.T, lwork=self._lwork(len(a)), overwrite_a=True)
+        sytrs = self._sytrs
+
+        def solve(b: np.ndarray):
+            _check_rhs(b, len(ipiv))
+            sytrs(ldu, ipiv, b, overwrite_b=True)  # in place: b is contiguous
+
+        return Factors(ipiv, info, solve)
+
+
+@lru_cache(maxsize=1)
+def _backend():
+    """The first loaded OpenBLAS that exports the ILP64 symbols, else scipy."""
+    for path in openblas_paths():
+        lib = ctypes.PyDLL(path)
+        if hasattr(lib, "scipy_zsytrf_64_") and hasattr(lib, "scipy_zsytrs_64_"):
+            return _OpenBLAS(lib)
+    return _SciPy()
+
+
+def ldlt(a: np.ndarray) -> Factors:
+    """Bunch-Kaufman LDL^T factors of the complex-symmetric matrix a, a
+    writable C-ordered complex128 square array, computed in a's own memory.
+
+    Only one triangle is read, so a must be exactly symmetric. The solve
+    reads the factors from a, so a write to a changes them.
+    """
+    n = len(a)
+    if not (a.shape == (n, n) and a.dtype == np.complex128 and a.flags.c_contiguous
+            and a.flags.writeable):
+        raise ValueError(f"expected a writable C-ordered complex128 square matrix, got {a.shape}")
+    return _backend().factor(a)

@@ -23,12 +23,13 @@ assembles its own operator, so a stability pass never fills that cache.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
+from . import lapack
 from .basis import ChannelConfig, j_factor_bands
 from .errors import ChargePlaneError, EigensolverError
 from .hamiltonian import RotatedHamiltonian
@@ -106,26 +107,12 @@ def outside_exposure_window(energy: complex, theta: float) -> bool:
     return energy.real > 0 and energy.imag < 0 and abs(np.angle(energy)) >= 2 * theta
 
 
-_SYTRF, _SYTRS, _SYTRF_LWORK = scipy.linalg.get_lapack_funcs(
-    ("sytrf", "sytrs", "sytrf_lwork"), dtype=np.complex128
-)
-
-
-@lru_cache(maxsize=8)
-def _ldlt_lwork(n: int) -> int:
-    """LAPACK's workspace size for sytrf at order n. The wrapper's default,
-    n, leaves room for no block, and sytrf then runs unblocked."""
-    work, _ = _SYTRF_LWORK(n)
-    return int(work.real)
-
-
-def _ldlt_factor(mat: np.ndarray, at_iterate: bool = False):
+def _ldlt_factor(mat: np.ndarray, at_iterate: bool = False) -> lapack.Factors:
     """Bunch-Kaufman LDL^T factors of a complex-symmetric matrix, computed in
-    its own memory.
+    its own memory (`lapack.ldlt`).
 
-    Only the upper triangle of mat.T is read, so mat must be exactly
-    symmetric, as RotatedHamiltonian.matrix returns it; then mat.T is mat,
-    and it is Fortran-ordered, so LAPACK factors it without a copy.
+    Only one triangle is read, so mat must be exactly symmetric, as
+    RotatedHamiltonian.matrix returns it, and C-ordered.
 
     An exactly zero 1 x 1 pivot of D (2 x 2 pivots are never singular)
     raises EigensolverError, unless at_iterate: then mat is M(E) - Z_t at a
@@ -133,24 +120,33 @@ def _ldlt_factor(mat: np.ndarray, at_iterate: bool = False):
     pivot becomes eps times the largest pivot, so the solve returns the null
     direction, as inverse iteration does (LAPACK's xLAEIN).
     """
-    n = len(mat)
-    ldu, ipiv, info = _SYTRF(mat.T, lwork=_ldlt_lwork(n), overwrite_a=True)
-    if info > 0:
+    factors = lapack.ldlt(mat)
+    if factors.info > 0:
+        n = len(mat)
         if not at_iterate:
             raise EigensolverError(f"exactly singular matrix at order {n}", order=n)
-        pivots = np.diagonal(ldu)
-        zero = np.flatnonzero((pivots == 0) & (ipiv > 0))
-        ldu[zero, zero] = np.finfo(float).eps * np.abs(pivots).max()
-    return ldu, ipiv
+        pivots = np.diagonal(mat)
+        zero = np.flatnonzero((pivots == 0) & (factors.ipiv > 0))
+        mat[zero, zero] = np.finfo(float).eps * np.abs(pivots).max()
+    return factors
 
 
-def _ldlt_solve(factors, rhs: np.ndarray) -> np.ndarray:
-    """The unit-norm solution of one system, given _ldlt_factor's factors."""
-    x, _ = _SYTRS(*factors, rhs)
-    norm = np.linalg.norm(x)
-    if not np.isfinite(norm):
-        raise EigensolverError(f"non-finite solve at order {len(x)}", order=len(x))
-    return x / norm
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a complex vector, bit for bit, without its argument
+    handling, which costs as much as the sums at refinement's orders."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _ldlt_solve(factors: lapack.Factors, rhs: np.ndarray) -> np.ndarray:
+    """rhs, a writable complex vector, overwritten with the unit-norm solution
+    of one system, given _ldlt_factor's factors."""
+    factors.solve(rhs)
+    norm = _norm(rhs)
+    if not math.isfinite(norm):
+        raise EigensolverError(f"non-finite solve at order {len(rhs)}", order=len(rhs))
+    rhs /= norm
+    return rhs
 
 
 def refine_resonance(
@@ -204,7 +200,7 @@ def refine_resonance(
         sx = ham.apply_static(x) - z_target * x
         rhs = ham.apply_derivative(x)
         energy = complex(-(x @ sx) / (x @ rhs))
-        residual = float(np.linalg.norm(sx + energy * rhs))
+        residual = _norm(sx + energy * rhs)
         if residual <= RESIDUAL_TOL or iterations == MAX_ITER:
             break
         if not residual < REFACTOR_RATIO * previous:  # true for a NaN error too

@@ -1,0 +1,137 @@
+"""Tests for the LDL^T binding: numpy's own OpenBLAS and the scipy fallback
+give the same factors and solves, factors keep the library that made them,
+and importing the package loads no scipy."""
+
+import numpy as np
+import pytest
+
+from chargeplane import lapack
+from chargeplane.reference import run_table
+
+
+def _force_scipy(monkeypatch):
+    """Make the library lookup find nothing, so the next factorization
+    resolves the scipy fallback."""
+    monkeypatch.setattr(lapack, "openblas_paths", lambda: [])
+    lapack._backend.cache_clear()
+
+
+@pytest.fixture(params=["openblas", "scipy"])
+def backend(request, monkeypatch):
+    if request.param == "scipy":
+        _force_scipy(monkeypatch)
+    elif not isinstance(lapack._backend(), lapack._OpenBLAS):
+        pytest.skip("numpy's OpenBLAS exports no ILP64 zsytrf here")
+    yield request.param
+    lapack._backend.cache_clear()
+
+
+def _complex_symmetric(n, seed=0):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a + a.T
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+class TestLDLT:
+    @pytest.mark.parametrize("n", [1, 7, 150])
+    def test_solve_inverts_the_matrix(self, backend, n):
+        a = _complex_symmetric(n)
+        b = np.arange(1, n + 1) * (1 - 0.5j)
+        x = b.copy()
+        factors = lapack.ldlt(a.copy())
+        factors.solve(x)
+        assert factors.info == 0
+        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x)
+
+    def test_factors_and_pivots_equal_the_other_library(self, monkeypatch):
+        a = _complex_symmetric(150, seed=3)
+        by_default, by_scipy = a.copy(), a.copy()
+        first = lapack.ldlt(by_default)
+        _force_scipy(monkeypatch)
+        second = lapack.ldlt(by_scipy)
+        lapack._backend.cache_clear()
+        x, y = np.ones(150, dtype=complex), np.ones(150, dtype=complex)
+        first.solve(x)
+        second.solve(y)
+        assert np.array_equal(by_default, by_scipy)
+        assert np.array_equal(first.ipiv, second.ipiv)
+        assert np.array_equal(x, y)
+
+    def test_factors_solve_with_the_library_that_made_them(self, monkeypatch):
+        a = _complex_symmetric(40, seed=5)
+        factors = lapack.ldlt(a.copy())
+        _force_scipy(monkeypatch)  # a later factorization would use scipy
+        x = np.ones(40, dtype=complex)
+        factors.solve(x)
+        lapack._backend.cache_clear()
+        assert np.linalg.norm(a @ x - 1) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x)
+
+    def test_exactly_zero_pivot_is_reported(self, backend):
+        factors = lapack.ldlt(np.diag([1.0, 0.0, 2.0]).astype(complex))
+        assert factors.info == 2  # LAPACK counts from 1
+        assert factors.ipiv[1] > 0  # a 1 x 1 pivot
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.eye(3),  # real
+            np.eye(3, dtype=complex)[:, :2],  # not square
+            np.asfortranarray(_complex_symmetric(3)),
+            np.eye(6, dtype=complex)[::2, ::2],  # not contiguous
+            _read_only(_complex_symmetric(3)),
+        ],
+    )
+    def test_rejects_what_it_cannot_factor_in_place(self, backend, bad):
+        with pytest.raises(ValueError):
+            lapack.ldlt(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.ones(4, dtype=complex),  # wrong length
+            np.ones(3),  # real
+            np.ones(3, dtype=np.complex64),
+            np.ones(6, dtype=complex)[::2],  # not contiguous
+            np.ones((3, 1), dtype=complex),
+            _read_only(np.ones(3, dtype=complex)),
+        ],
+    )
+    def test_solve_rejects_what_it_cannot_overwrite(self, backend, bad):
+        factors = lapack.ldlt(_complex_symmetric(3))
+        with pytest.raises(ValueError):
+            factors.solve(bad)
+
+
+def test_scipy_fallback_reproduces_the_table(monkeypatch):
+    default = [(r.computed_e_r, r.computed_gamma) for r in run_table("table1")]
+    _force_scipy(monkeypatch)
+    try:
+        fallback = [(r.computed_e_r, r.computed_gamma) for r in run_table("table1")]
+        assert isinstance(lapack._backend(), lapack._SciPy)
+    finally:
+        lapack._backend.cache_clear()
+    assert fallback == default
+
+
+# Which scipy modules are loaded after importing the package and, unless
+# the binding fell back to scipy, after a refinement.
+_SCIPY_MODULES = """
+import sys
+import chargeplane, chargeplane.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+from chargeplane import R2_EXP_POTENTIAL, ChannelConfig, lapack, refine_resonance
+refine_resonance(3.4 - 0.01j, 0.0, ChannelConfig(l=0, n_basis=20, scale=20.0), R2_EXP_POTENTIAL)
+if isinstance(lapack._backend(), lapack._OpenBLAS):
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+else:
+    print([])
+"""
+
+
+def test_the_package_runs_without_scipy(fresh_python):
+    assert fresh_python(_SCIPY_MODULES).splitlines() == ["[]", "[]"]
