@@ -2,6 +2,7 @@
 of the complex-rotated charge operator in a Laguerre basis."""
 
 from .basis import ChannelConfig, QuadratureRule, build_j_matrix, gauss_rule
+from .config import parse_potential
 from .eigensolver import EigenSet, eigen_decompose, eigenvalue_derivative, eigenvalues
 from .errors import ChargePlaneError, ConfigError, DegenerateEigenvectorError, EigensolverError
 from .hamiltonian import RotatedHamiltonian, potential_matrix
@@ -11,7 +12,6 @@ from .potential import (
     PotentialModel,
     PotentialTerm,
     eval_potential,
-    parse_potential,
 )
 from .resonance import (
     Resonance,

@@ -18,11 +18,11 @@ import numpy as np
 from .errors import ConfigError, EigensolverError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ChannelConfig:
     """One basis/rotation setting: (l, N, lambda, theta) plus quadrature size."""
 
-    l: int
+    l: int = 0
     n_basis: int
     scale: float
     theta: float = 0.0

@@ -2,65 +2,71 @@
 
 The file is the archival record of a run: all physics parameters live here,
 while command-line flags cover only output paths and plot emission.
-Unknown keys are rejected everywhere so a typo cannot silently change a run.
+Every section is read into one frozen dataclass by `_section`: the root into
+RunConfig, then ChannelConfig, ScanConfig with its EnergyGrid, StabilityConfig,
+TableConfig and one PotentialTerm per potential term. The keys a section
+accepts are exactly its dataclass's fields; a field without a default is a
+required key, and any other key is rejected, so a typo cannot silently
+change a run. `_READERS` says how each key that is not a plain number is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import yaml
 
 from .basis import ChannelConfig
 from .errors import ChargePlaneError, ConfigError
-from .potential import PotentialModel, parse_integer, parse_potential
+from .potential import PotentialModel, PotentialTerm
 from .resonance import DEFAULT_IM_SCHEDULE
 from .trajectory import EnergyGrid
 
 
-def _check_keys(section: dict, allowed, where: str):
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+def _number(value) -> float:
+    """A config number as a float; YAML's true and false are not numbers."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
-def _complex_pair(entry, where: str) -> complex:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where} must be a mapping with re/im")
-    _check_keys(entry, ("re", "im"), where)
-    try:
-        return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def parse_integer(value) -> int:
+    """An integral config number as an int: 2 and 2.0 pass, 2.5 raises ValueError."""
+    number = _number(value)
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
 
 
-def _convert(convert, value, where: str):
-    """convert(value), with a malformed value raised as a ConfigError naming its key."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _list(convert, valid, expected: str):
+    """A reader of one list: every entry converted and checked, whether or
+    not a run ever reaches it."""
 
-
-def _number_list(convert, valid, expected: str):
-    """A parser of one list of numbers: every entry converted and checked,
-    whether or not a run ever reaches it."""
-
-    def parse(values) -> tuple:
+    def read(values) -> tuple:
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"expected a list of {expected}, got {values!r}")
         out = tuple(map(convert, values))
         if not all(map(valid, out)):
             raise ValueError(f"expected {expected}, got {list(out)}")
         return out
 
-    return parse
+    return read
 
 
 def _tolerance(value) -> float:
-    number = float(value)
+    number = _number(value)
     if not 0 <= number < math.inf:
         raise ValueError(f"expected a finite tolerance >= 0, got {value!r}")
     return number
+
+
+@dataclass(frozen=True)
+class _Pair:
+    """A complex number written as a mapping: re + i * im."""
+
+    re: float = 0.0
+    im: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -93,92 +99,95 @@ class TableConfig:
     tolerance: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
     potential: PotentialModel = field(default_factory=PotentialModel)
-    channel: ChannelConfig = None
+    channel: ChannelConfig
     scan: ScanConfig = field(default_factory=ScanConfig)
     stability: StabilityConfig = field(default_factory=StabilityConfig)
     table: TableConfig = field(default_factory=TableConfig)
 
 
+def _section(cls, data, where: str):
+    """The dataclass cls built from one config mapping, data.
+
+    Each key is read by its entry in _READERS, or as a float if it has none:
+    a dataclass reader reads a nested section, in which null reads as an
+    empty mapping, and `complex` reads a re/im _Pair. `where` names a key in
+    errors when its name is appended: "" at the root, "scan.grid." in a
+    section, "potential term 0: " in a potential term. A malformed value, or
+    a ChargePlaneError raised by cls itself, becomes a ConfigError that
+    names the section or key.
+    """
+    name = where.rstrip(".: ") or "config root"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be a mapping, got {data!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    for key, f in known.items():
+        if key not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{name} is missing {key!r}")
+    values = {}
+    for key, value in data.items():
+        reader = _READERS.get(key, _number)
+        if reader is complex:
+            pair = _section(_Pair, value, f"{where}{key}.")
+            values[key] = complex(pair.re, pair.im)
+        elif is_dataclass(reader):
+            values[key] = _section(reader, {} if value is None else value, f"{where}{key}.")
+        else:
+            try:
+                values[key] = reader(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}{key}: {exc}") from exc
+    try:
+        return cls(**values)
+    except ChargePlaneError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def parse_potential(fragment) -> PotentialModel:
+    """Build a PotentialModel from a config fragment (list of term mappings).
+
+    Each term is a mapping whose keys are PotentialTerm's fields, all
+    optional except the coefficient c. Unknown keys are rejected. Errors
+    name the offending term and key.
+    """
+    if fragment is None:
+        return PotentialModel()
+    if not isinstance(fragment, (list, tuple)):
+        raise ConfigError("potential must be a list of terms")
+    return PotentialModel(
+        tuple(_section(PotentialTerm, t, f"potential term {i}: ") for i, t in enumerate(fragment))
+    )
+
+
+# every key whose value is not one plain number, with its reader; keyed by
+# name alone, so a key means the same in every section that has it
+_READERS = {
+    "potential": parse_potential,
+    "channel": ChannelConfig,
+    "scan": ScanConfig,
+    "stability": StabilityConfig,
+    "table": TableConfig,
+    "grid": EnergyGrid,
+    "energy": complex,
+    "guess": complex,
+    **dict.fromkeys(("l", "n_basis", "quad_size", "steps", "p", "q"), parse_integer),
+    **dict.fromkeys(("z_targets", "im_schedule"), _list(_number, math.isfinite, "finite values")),
+    "lambda_values": _list(_number, lambda v: 0 < v < math.inf, "finite values > 0"),
+    "theta_values": _list(_number, lambda v: 0 <= v < math.pi / 2, "values in [0, pi/2)"),
+    "n_values": _list(parse_integer, lambda v: v >= 1, "integers >= 1"),
+    "tolerance": _tolerance,
+    "tables": _list(lambda name: name, lambda name: isinstance(name, str), "names"),
+}
+
+
 def parse_config(data: dict) -> RunConfig:
     """Validate and build a RunConfig from a parsed YAML mapping."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys(data, ("potential", "channel", "scan", "stability", "table"), "config root")
-
-    model = parse_potential(data.get("potential"))
-
-    ch = data.get("channel")
-    if ch is None:
-        raise ConfigError("config is missing the channel section")
-    _check_keys(ch, ("l", "n_basis", "scale", "theta", "quad_size"), "channel")
-    try:
-        channel = ChannelConfig(
-            l=_convert(parse_integer, ch.get("l", 0), "channel.l"),
-            n_basis=_convert(parse_integer, ch["n_basis"], "channel.n_basis"),
-            scale=_convert(float, ch["scale"], "channel.scale"),
-            theta=float(ch.get("theta", 0.0)),
-            quad_size=_convert(parse_integer, ch["quad_size"], "channel.quad_size")
-            if "quad_size" in ch
-            else None,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"channel section is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"channel: {exc}") from exc
-
-    sc = data.get("scan", {}) or {}
-    _check_keys(sc, ("energy", "grid", "guess", "z_targets", "im_schedule", "window"), "scan")
-    grid = None
-    if "grid" in sc:
-        g = sc["grid"]
-        _check_keys(g, ("re_start", "re_end", "steps", "im_part"), "scan.grid")
-        try:
-            grid = EnergyGrid(
-                re_start=float(g["re_start"]),
-                re_end=float(g["re_end"]),
-                steps=_convert(parse_integer, g["steps"], "scan.grid.steps"),
-                im_part=float(g.get("im_part", 0.0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"scan.grid is missing {exc}") from exc
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, ChargePlaneError) as exc:
-            raise ConfigError(f"scan.grid: {exc}") from exc
-    finite = _number_list(float, math.isfinite, "finite values")
-    im_schedule = _convert(finite, sc.get("im_schedule", DEFAULT_IM_SCHEDULE), "scan.im_schedule")
-    scan = ScanConfig(
-        energy=_complex_pair(sc["energy"], "scan.energy") if "energy" in sc else None,
-        grid=grid,
-        guess=_complex_pair(sc["guess"], "scan.guess") if "guess" in sc else None,
-        z_targets=_convert(finite, sc.get("z_targets", ()), "scan.z_targets"),
-        im_schedule=im_schedule,
-        window=_convert(float, sc.get("window", 0.5), "scan.window"),
-    )
-
-    st = data.get("stability", {}) or {}
-    _check_keys(st, ("lambda_values", "theta_values", "n_values", "tolerance"), "stability")
-    lambdas = _number_list(float, lambda v: 0 < v < math.inf, "finite values > 0")
-    thetas = _number_list(float, lambda v: 0 <= v < math.pi / 2, "values in [0, pi/2)")
-    ns = _number_list(parse_integer, lambda v: v >= 1, "integers >= 1")
-    stability = StabilityConfig(
-        lambda_values=_convert(lambdas, st.get("lambda_values", ()), "stability.lambda_values"),
-        theta_values=_convert(thetas, st.get("theta_values", ()), "stability.theta_values"),
-        n_values=_convert(ns, st.get("n_values", ()), "stability.n_values"),
-        tolerance=_convert(_tolerance, st.get("tolerance", 1e-8), "stability.tolerance"),
-    )
-
-    tb = data.get("table", {}) or {}
-    _check_keys(tb, ("tables", "tolerance"), "table")
-    tolerance = None
-    if "tolerance" in tb:
-        tolerance = _convert(_tolerance, tb["tolerance"], "table.tolerance")
-    table = TableConfig(tables=tuple(tb.get("tables", ("table1",))), tolerance=tolerance)
-
-    return RunConfig(potential=model, channel=channel, scan=scan, stability=stability, table=table)
+    return _section(RunConfig, data, "")
 
 
 def load_config(path) -> RunConfig:
@@ -191,4 +200,3 @@ def load_config(path) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     return parse_config(data)
-

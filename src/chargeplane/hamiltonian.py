@@ -66,7 +66,6 @@ class RotatedHamiltonian:
 
     def __init__(self, cfg: ChannelConfig, model: PotentialModel):
         self.cfg = cfg
-        self.model = model
         lam = cfg.rotated_scale
         j_mat = build_j_matrix(cfg.n_basis, cfg.nu)
         rule = gauss_rule(cfg.quad_size, cfg.nu)

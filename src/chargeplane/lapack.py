@@ -22,6 +22,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import EigensolverError
+
 _UPPER = ctypes.c_char_p(b"U")
 _UPLO_LENGTH = ctypes.c_size_t(1)
 _ONE = ctypes.byref(ctypes.c_int64(1))
@@ -106,10 +108,17 @@ class _OpenBLAS:
 
 
 class _SciPy:
-    """scipy.linalg's zsytrf/zsytrs, for a numpy without the ILP64 symbols."""
+    """scipy.linalg's zsytrf/zsytrs, for a numpy without the ILP64 symbols.
+    Raises EigensolverError where scipy is not installed either."""
 
     def __init__(self):
-        import scipy.linalg
+        try:
+            import scipy.linalg
+        except ImportError as exc:
+            raise EigensolverError(
+                "no LDL^T backend: numpy's LAPACK exports no scipy_zsytrf_64_ and "
+                f"scipy_zsytrs_64_, and scipy.linalg cannot be imported ({exc})"
+            ) from exc
 
         self._sytrf, self._sytrs, self._sytrf_lwork = scipy.linalg.get_lapack_funcs(
             ("sytrf", "sytrs", "sytrf_lwork"), dtype=np.complex128

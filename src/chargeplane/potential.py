@@ -15,14 +15,6 @@ import numpy as np
 from .errors import ConfigError
 
 
-def parse_integer(value) -> int:
-    """An integral config number as an int: 2 and 2.0 pass, 2.5 raises ValueError."""
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(number)
-
-
 def _ipow(r, p: int):
     """Integer power by repeated multiplication (no complex branch cuts)."""
     out = np.ones_like(np.asarray(r, dtype=complex)) if np.ndim(r) else 1.0 + 0j
@@ -82,41 +74,6 @@ def eval_potential(model: PotentialModel, r):
     if np.ndim(r) == 0:
         return complex(total)
     return total
-
-
-_TERM_FIELDS = {"c": float, "p": parse_integer, "b": float, "s": float, "q": parse_integer}
-
-
-def parse_potential(fragment) -> PotentialModel:
-    """Build a PotentialModel from a config fragment (list of term mappings).
-
-    Each term is a mapping with keys c, p, b, s, q (all optional except c).
-    Unknown keys are rejected. Errors name the offending term and key.
-    """
-    if fragment is None:
-        return PotentialModel()
-    if not isinstance(fragment, (list, tuple)):
-        raise ConfigError("potential must be a list of terms")
-    terms = []
-    for i, entry in enumerate(fragment):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"potential term {i}: expected a mapping")
-        unknown = set(entry) - set(_TERM_FIELDS)
-        if unknown:
-            raise ConfigError(f"potential term {i}: unknown keys {sorted(unknown)}")
-        if "c" not in entry:
-            raise ConfigError(f"potential term {i}: missing coefficient c")
-        fields = {}
-        for key, value in entry.items():
-            try:
-                fields[key] = _TERM_FIELDS[key](value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"potential term {i}: {key}: {exc}") from exc
-        try:
-            terms.append(PotentialTerm(**fields))
-        except ConfigError as exc:
-            raise ConfigError(f"potential term {i}: {exc}") from exc
-    return PotentialModel(tuple(terms))
 
 
 # 7.5 r^2 exp(-r): the barrier-top benchmark potential used by the built-in

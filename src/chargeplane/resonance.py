@@ -31,6 +31,7 @@ import numpy as np
 
 from . import lapack
 from .basis import ChannelConfig, j_factor_bands
+from .eigensolver import eigenvalues
 from .errors import ChargePlaneError, EigensolverError
 from .hamiltonian import RotatedHamiltonian
 from .potential import PotentialModel
@@ -221,7 +222,7 @@ def poles(ham: RotatedHamiltonian, z_target: float) -> np.ndarray:
     L^-1 (S - Z_t) L^-T y = -(E / lambda') y, one complex-symmetric matrix of
     order N, formed by two bidiagonal forward substitutions; its
     eigenvalues are all finite. Raises EigensolverError on a non-finite
-    z_target, when the eigensolver fails, or on a non-finite result.
+    z_target, or where `eigensolver.eigenvalues` fails on that matrix.
     """
     if not np.isfinite(z_target):
         raise EigensolverError(f"non-finite target charge {z_target}")
@@ -232,12 +233,7 @@ def poles(ham: RotatedHamiltonian, z_target: float) -> np.ndarray:
         for i in range(n):  # sub[0] = 0, so row 0 is only scaled
             reduced[i] = (reduced[i] + sub[i] * reduced[i - 1]) / diag[i]
         reduced = reduced.T
-    try:
-        values = -ham.cfg.rotated_scale * np.linalg.eigvals(reduced)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver failed at order {n}: {exc}", order=n) from exc
-    if not np.all(np.isfinite(values)):
-        raise EigensolverError(f"non-finite pole at order {n}", order=n)
+    values = -ham.cfg.rotated_scale * eigenvalues(reduced)
     return values[np.lexsort((values.imag, values.real))]
 
 

@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +61,7 @@ OUT_OF_RANGE = {
     "table-tolerance-negative": ("table.tolerance", {"table": {"tolerance": -1e-6}}),
     "stability-n_values-fractional": ("stability.n_values", {"stability": {"n_values": [120.7]}}),
     "channel-l-fractional": ("channel.l", {"channel": {**FIND["channel"], "l": 0.9}}),
+    "channel-l-boolean": ("channel.l", {"channel": {**FIND["channel"], "l": True}}),
     "channel-n_basis-fractional": (
         "channel.n_basis",
         {"channel": {**FIND["channel"], "n_basis": 120.7}},
@@ -367,6 +371,16 @@ class TestExitCodes:
         cfg = _write_cfg(tmp_path, {**FIND, **sections})
         assert main(["stability", "--config", cfg]) == 2
         assert named in capsys.readouterr().err
+
+    def test_non_mapping_section_exits_2_without_traceback(self, tmp_path):
+        cfg = _write_cfg(tmp_path, {**FIND, "scan": 5})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "chargeplane.cli", "table", "--config", cfg],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["configuration error: scan must be a mapping, got 5"]
 
     def test_table_tolerance_failure(self, tmp_path, capsys):
         data = {

@@ -1,15 +1,22 @@
 """Tests for YAML config parsing, validation, and round-trips."""
 
+import copy
+import dataclasses
 import math
+import re
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargeplane import config
+from chargeplane.basis import ChannelConfig
 from chargeplane.config import load_config, parse_config
 from chargeplane.errors import ConfigError
+from chargeplane.potential import PotentialTerm
 from chargeplane.resonance import DEFAULT_IM_SCHEDULE
+from chargeplane.trajectory import EnergyGrid
 
 FULL = {
     "potential": [
@@ -33,6 +40,27 @@ FULL = {
     },
     "table": {"tables": ["table1"], "tolerance": 1e-6},
 }
+
+# where a section sits in FULL -> the dataclass it is read into, and the
+# name errors give it
+SECTIONS = {
+    (): (config.RunConfig, "config root"),
+    ("channel",): (ChannelConfig, "channel"),
+    ("scan",): (config.ScanConfig, "scan"),
+    ("scan", "grid"): (EnergyGrid, "scan.grid"),
+    ("scan", "energy"): (config._Pair, "scan.energy"),
+    ("scan", "guess"): (config._Pair, "scan.guess"),
+    ("stability",): (config.StabilityConfig, "stability"),
+    ("table",): (config.TableConfig, "table"),
+    ("potential", 1): (PotentialTerm, "potential term 1"),
+}
+NESTED = {path: name for path, (_, name) in SECTIONS.items() if path}
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
 
 
 class TestParseConfig:
@@ -184,6 +212,33 @@ class TestParseConfig:
         )
         assert cfg.scan.im_schedule == tuple(im_schedule)
         assert cfg.scan.window == window
+
+    @pytest.mark.parametrize("value", [5, "x", [1]], ids=["int", "str", "list"])
+    @pytest.mark.parametrize("path", NESTED, ids=NESTED.values())
+    def test_non_mapping_section_names_the_section(self, path, value):
+        data = copy.deepcopy(FULL)
+        _at(data, path[:-1])[path[-1]] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(NESTED[path])} must be a mapping"):
+            parse_config(data)
+
+    @pytest.mark.parametrize("path", SECTIONS, ids=[name for _, name in SECTIONS.values()])
+    def test_section_keys_are_its_dataclass_fields(self, path):
+        cls, name = SECTIONS[path]
+        data = copy.deepcopy(FULL)
+        section = _at(data, path)
+        assert set(section) == {f.name for f in dataclasses.fields(cls)}  # FULL has every key
+        parse_config(data)
+        section["not_a_field"] = 1
+        with pytest.raises(ConfigError, match=f"unknown keys in {re.escape(name)}: "):
+            parse_config(data)
+
+    def test_every_reader_reads_a_field(self):
+        names = {f.name for cls, _ in SECTIONS.values() for f in dataclasses.fields(cls)}
+        assert set(config._READERS) <= names
+
+    def test_tables_must_be_a_list_of_names(self):
+        with pytest.raises(ConfigError, match="table.tables"):
+            parse_config({**FULL, "table": {"tables": "table1"}})
 
     def test_non_mapping_root(self):
         with pytest.raises(ConfigError, match="mapping"):

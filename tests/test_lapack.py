@@ -1,11 +1,15 @@
 """Tests for the LDL^T binding: numpy's own OpenBLAS and the scipy fallback
 give the same factors and solves, factors keep the library that made them,
-and importing the package loads no scipy."""
+a process with neither is a solver error, and importing the package loads
+no scipy."""
+
+import sys
 
 import numpy as np
 import pytest
 
 from chargeplane import lapack
+from chargeplane.errors import EigensolverError
 from chargeplane.reference import run_table
 
 
@@ -116,6 +120,17 @@ def test_scipy_fallback_reproduces_the_table(monkeypatch):
     finally:
         lapack._backend.cache_clear()
     assert fallback == default
+
+
+def test_no_backend_is_a_solver_error(monkeypatch):
+    # numpy built on a LAPACK without the ILP64 symbols, and no scipy
+    _force_scipy(monkeypatch)
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    try:
+        with pytest.raises(EigensolverError, match="scipy_zsytrf_64_.*scipy.linalg"):
+            lapack.ldlt(_complex_symmetric(3))
+    finally:
+        lapack._backend.cache_clear()
 
 
 # Which scipy modules are loaded after importing the package and, unless
