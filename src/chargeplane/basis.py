@@ -10,12 +10,18 @@ eigenvector products replace the classical quadrature weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from . import lapack
 from .errors import ConfigError, EigensolverError
+
+# The largest basis or quadrature size N whose N x N complex128 operator
+# numpy can address: 16 N^2 bytes must not exceed the largest intp.
+MAX_ORDER = math.isqrt(np.iinfo(np.intp).max // 16)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -39,6 +45,12 @@ class ChannelConfig:
             raise ConfigError(f"rotation angle must lie in [0, pi/2), got {self.theta}")
         if self.quad_size is None:
             object.__setattr__(self, "quad_size", self.n_basis)
+        for key in ("n_basis", "quad_size"):
+            if getattr(self, key) > MAX_ORDER:
+                raise ConfigError(
+                    f"{key} = {getattr(self, key)} exceeds {MAX_ORDER}, the largest"
+                    " order whose N x N complex128 operator can be addressed"
+                )
         if self.quad_size < self.n_basis:
             raise ConfigError(
                 f"quadrature size {self.quad_size} smaller than basis size {self.n_basis}"
@@ -108,16 +120,22 @@ def build_j_matrix(m: int, nu: float) -> np.ndarray:
 def gauss_rule(m: int, nu: float) -> QuadratureRule:
     """Gauss quadrature of size m from diagonalizing the J matrix.
 
-    Nodes come ascending from numpy's symmetric eigensolver (LAPACK syevd)
-    on the dense J, an O(m^3) solve made once per (m, nu). Column signs are
-    left as the solver returns them: every use of the rule multiplies two
-    entries of one column, vectors[n, k] * vectors[m, k], and negating both
-    factors leaves that product, and so every sum of such products, exact
-    to the bit. Rules are cached by (m, nu) and shared between callers,
-    which is safe because their arrays are read-only.
+    Nodes come ascending from LAPACK's tridiagonal eigensolver (dstevd) on
+    J's two bands, made once per (m, nu) with no dense J formed. Where
+    numpy's LAPACK lacks dstevd, numpy's dense symmetric eigensolver (syevd)
+    runs on build_j_matrix instead. Both give the same bits up to column
+    sign: syevd's tridiagonal reduction of a matrix that is already
+    tridiagonal makes identity reflectors, and then runs the same
+    divide-and-conquer solver. Column signs are left as the solver returns
+    them: every use of the rule multiplies two entries of one column,
+    vectors[n, k] * vectors[m, k], and negating both factors leaves that
+    product, and so every sum of such products, exact to the bit. Rules are
+    cached by (m, nu) and shared between callers, which is safe because
+    their arrays are read-only.
     """
     try:
-        nodes, vectors = np.linalg.eigh(build_j_matrix(m, nu))
+        found = lapack.eigh_tridiagonal(*j_matrix_bands(m, nu))
+        nodes, vectors = found if found is not None else np.linalg.eigh(build_j_matrix(m, nu))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - not expected
         raise EigensolverError(f"J-matrix eigensolver failed at order {m}", order=m) from exc
     nodes.setflags(write=False)

@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import yaml
 
-from .basis import ChannelConfig
+from .basis import MAX_ORDER, ChannelConfig
 from .errors import ChargePlaneError, ConfigError
 from .potential import PotentialModel, PotentialTerm
 from .resonance import DEFAULT_IM_SCHEDULE
@@ -179,7 +179,9 @@ _READERS = {
     **dict.fromkeys(("z_targets", "im_schedule"), _list(_number, math.isfinite, "finite values")),
     "lambda_values": _list(_number, lambda v: 0 < v < math.inf, "finite values > 0"),
     "theta_values": _list(_number, lambda v: 0 <= v < math.pi / 2, "values in [0, pi/2)"),
-    "n_values": _list(parse_integer, lambda v: v >= 1, "integers >= 1"),
+    "n_values": _list(
+        parse_integer, lambda v: 1 <= v <= MAX_ORDER, f"integers in [1, {MAX_ORDER}]"
+    ),
     "tolerance": _tolerance,
     "tables": _list(lambda name: name, lambda name: isinstance(name, str), "names"),
 }

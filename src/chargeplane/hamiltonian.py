@@ -8,24 +8,20 @@ Laguerre J matrix (nu = 2l + 1) and lambda' = lambda * exp(-i*theta):
 
 |J| is J with its off-diagonal sign flipped (J's diagonal is positive and its
 off-diagonal negative) and V is the potential matrix by Gauss quadrature.
-Rotation enters only through the single complex scale lambda'; there is no
-coordinate-space rotation code path. The eigenvalues of M(E) are the poles
-{Z_n} of the finite Green's function.
+Both terms and D are built from J's two bands and the Gauss rule, with no
+dense J, and S is formed in V's memory. Rotation enters only through the
+single complex scale lambda'; there is no coordinate-space rotation code
+path. The eigenvalues of M(E) are the poles {Z_n} of the finite Green's
+function.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basis import ChannelConfig, QuadratureRule, build_j_matrix, gauss_rule
+from .basis import ChannelConfig, QuadratureRule, gauss_rule, j_matrix_bands
 from .errors import ConfigError, EigensolverError
 from .potential import PotentialModel, eval_potential
-
-
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    """Mirror the upper triangle so mat[n, m] == mat[m, n] exactly."""
-    upper = np.triu(mat)
-    return upper + np.triu(mat, 1).T
 
 
 def potential_matrix(
@@ -35,7 +31,9 @@ def potential_matrix(
 
     V[n, m] = -(1/lambda') * sum_k L[n,k] L[m,k] mu_k V(mu_k / lambda').
     The nodes mu_k / lambda' lie on the rotated ray, so the potential is
-    evaluated at complex radius.
+    evaluated at complex radius. The product is formed once, as
+    (-(1/lambda') * (L * w)) @ L.T, and its upper triangle is mirrored into
+    its lower one in place, so V is exactly symmetric.
     """
     if rule.nu != cfg.nu:
         raise ConfigError(f"quadrature nu={rule.nu} does not match channel nu={cfg.nu}")
@@ -48,30 +46,40 @@ def potential_matrix(
     weights = rule.nodes * eval_potential(model, radii)
     vecs = rule.vectors[: cfg.n_basis, :]
     mat = -(1.0 / lam) * (vecs * weights) @ vecs.T
-    return _symmetrize(mat)
+    for row in range(1, cfg.n_basis):
+        mat[row, :row] = mat[:row, row]
+    mat += 0.0  # -0 becomes +0, so a zero entry has one bit pattern whatever its rounding
+    return mat
 
 
 class RotatedHamiltonian:
     """The one assembly of M(E) = S + E*D for a channel and potential.
 
-    S is computed once from the J matrix and the cached Gauss rule of the
-    channel; D is tridiagonal and kept as its three bands. Both are
-    read-only, so one instance serves every energy, and
-    `resonance.shared_hamiltonian` shares one per (channel, potential) in a
-    process. matrix(E, z) costs one copy of S plus O(N) updates on D's
-    bands, into a fresh array or one the caller passes, and is exactly
-    symmetric. apply_static(x) and apply_derivative(x) are S x and D x from
-    the stored S and bands, with no operator-sized temporary.
+    S is built in the memory of the potential matrix: the three bands of
+    -(lambda'/8)|J| are added to V in place, from J's bands, so no dense J
+    is formed. Its peak is that of V's product, three operator-sized arrays
+    at quad_size = N: L * w, its complex copy of L.T, and V itself. D is
+    tridiagonal and kept as its three bands. Both are read-only, so one
+    instance serves every energy, and `resonance.shared_hamiltonian` shares
+    one per (channel, potential) in a process. matrix(E, z) costs one copy
+    of S plus O(N) updates on D's bands, into a fresh array or one the
+    caller passes, and is exactly symmetric. apply_static(x) and
+    apply_derivative(x) are S x and D x from the stored S and bands, with no
+    operator-sized temporary.
     """
 
     def __init__(self, cfg: ChannelConfig, model: PotentialModel):
         self.cfg = cfg
-        lam = cfg.rotated_scale
-        j_mat = build_j_matrix(cfg.n_basis, cfg.nu)
-        rule = gauss_rule(cfg.quad_size, cfg.nu)
-        self._static = -(lam / 8) * np.abs(j_mat) + potential_matrix(cfg, model, rule)
-        self._d_diag = np.diagonal(j_mat) / lam
-        self._d_off = np.diagonal(j_mat, 1) / lam
+        lam, n = cfg.rotated_scale, cfg.n_basis
+        diag, off = j_matrix_bands(n, cfg.nu)
+        self._static = potential_matrix(cfg, model, gauss_rule(cfg.quad_size, cfg.nu))
+        flat = self._static.reshape(-1)
+        flat[:: n + 1] += -(lam / 8) * np.abs(diag)
+        kinetic_off = -(lam / 8) * np.abs(off)
+        flat[1 :: n + 1] += kinetic_off
+        flat[n :: n + 1] += kinetic_off
+        self._d_diag = diag / lam
+        self._d_off = off / lam
         for arr in (self._static, self._d_diag, self._d_off):
             arr.setflags(write=False)
 

@@ -1,16 +1,18 @@
 """LAPACK's complex-symmetric LDL^T factorization (zsytrf) and solve (zsytrs),
-called in the OpenBLAS that numpy loads, with scipy.linalg as the fallback.
+and its symmetric tridiagonal eigensolver (dstevd), called in the OpenBLAS
+that numpy loads.
 
 numpy's wheels bundle an ILP64 OpenBLAS that exports all of LAPACK under
-`scipy_` names with a `64_` suffix, so refinement needs no scipy import,
-which costs a cold process more than numpy itself. Its Fortran interface is
-called through ctypes: every integer is an int64 passed by reference, and
-the one-character `uplo` argument takes a hidden length argument at the
-end. Where those symbols are missing (numpy built on MKL or on a system
-LAPACK, or no readable /proc/self/maps), `scipy.linalg`'s wrappers are used
-instead. The two libraries' pivot arrays differ in integer width, so
-factors carry their own solve, and only the library that made them solves
-with them.
+`scipy_` names with a `64_` suffix, so neither refinement nor assembly needs
+a scipy import, which costs a cold process more than numpy itself. Its
+Fortran interface is called through ctypes: every integer is an int64 passed
+by reference, and each one-character argument (`uplo`, `jobz`) takes a
+hidden length argument at the end. Where those symbols are missing (numpy
+built on MKL or on a system LAPACK, or no readable /proc/self/maps), the
+LDL^T pair falls back to `scipy.linalg`'s wrappers, and `eigh_tridiagonal`
+returns None so that its caller can use numpy's dense eigensolver. The two
+libraries' pivot arrays differ in integer width, so factors carry their own
+solve, and only the library that made them solves with them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 from .errors import EigensolverError
 
 _UPPER = ctypes.c_char_p(b"U")
-_UPLO_LENGTH = ctypes.c_size_t(1)
+_VECTORS = ctypes.c_char_p(b"V")
+_CHAR_LENGTH = ctypes.c_size_t(1)
 _ONE = ctypes.byref(ctypes.c_int64(1))
 
 
@@ -67,9 +70,8 @@ class _OpenBLAS:
     scipy's wrappers do: the workspace kept per order is never used by two
     calls at once."""
 
-    def __init__(self, lib: ctypes.PyDLL):
-        self._sytrf, self._sytrs = lib.scipy_zsytrf_64_, lib.scipy_zsytrs_64_
-        self._sytrf.restype = self._sytrs.restype = None
+    def __init__(self, sytrf, sytrs):
+        self._sytrf, self._sytrs = sytrf, sytrs
 
     @lru_cache(maxsize=8)
     def _order(self, n: int) -> tuple:
@@ -81,7 +83,7 @@ class _OpenBLAS:
         query = np.zeros(1, dtype=np.complex128)
         ptr = ctypes.c_void_p(query.ctypes.data)  # A is not read by the query
         self._sytrf(_UPPER, ctypes.byref(order), ptr, ctypes.byref(order), None, ptr,
-                    ctypes.byref(lwork), ctypes.byref(info), _UPLO_LENGTH)
+                    ctypes.byref(lwork), ctypes.byref(info), _CHAR_LENGTH)
         work = np.empty(max(1, int(query[0].real)), dtype=np.complex128)
         lwork.value = len(work)
         types = (ctypes.c_char * (16 * n * n), ctypes.c_char * (8 * n), ctypes.c_char * (16 * n))
@@ -96,13 +98,13 @@ class _OpenBLAS:
         a_arg, ipiv_arg = matrix_type.from_buffer(a), pivots_type.from_buffer(ipiv)
         info = ctypes.c_int64()
         info_arg = ctypes.byref(info)
-        self._sytrf(_UPPER, order, a_arg, order, ipiv_arg, work, lwork, info_arg, _UPLO_LENGTH)
+        self._sytrf(_UPPER, order, a_arg, order, ipiv_arg, work, lwork, info_arg, _CHAR_LENGTH)
         sytrs = self._sytrs
 
         def solve(b: np.ndarray):
             _check_rhs(b, n)
             sytrs(_UPPER, order, _ONE, a_arg, order, ipiv_arg, rhs_type.from_buffer(b), order,
-                  info_arg, _UPLO_LENGTH)
+                  info_arg, _CHAR_LENGTH)
 
         return Factors(ipiv, info.value, solve)
 
@@ -142,14 +144,69 @@ class _SciPy:
         return Factors(ipiv, info, solve)
 
 
+def _exported(*names: str) -> list | None:
+    """The named functions of the first loaded OpenBLAS that exports them
+    all, with no return value declared; None where none does."""
+    for path in openblas_paths():
+        lib = ctypes.PyDLL(path)
+        if all(hasattr(lib, name) for name in names):
+            functions = [getattr(lib, name) for name in names]
+            for function in functions:
+                function.restype = None
+            return functions
+    return None
+
+
 @lru_cache(maxsize=1)
 def _backend():
     """The first loaded OpenBLAS that exports the ILP64 symbols, else scipy."""
-    for path in openblas_paths():
-        lib = ctypes.PyDLL(path)
-        if hasattr(lib, "scipy_zsytrf_64_") and hasattr(lib, "scipy_zsytrs_64_"):
-            return _OpenBLAS(lib)
-    return _SciPy()
+    found = _exported("scipy_zsytrf_64_", "scipy_zsytrs_64_")
+    return _SciPy() if found is None else _OpenBLAS(*found)
+
+
+@lru_cache(maxsize=1)
+def _dstevd():
+    found = _exported("scipy_dstevd_64_")
+    return None if found is None else found[0]
+
+
+def _pointer(a: np.ndarray) -> ctypes.c_void_p:
+    return ctypes.c_void_p(a.ctypes.data)
+
+
+def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple | None:
+    """Eigenvalues, ascending, and orthonormal eigenvectors (as columns) of
+    the real symmetric tridiagonal matrix with diagonal diag and first
+    off-diagonal off, by LAPACK dstevd in numpy's OpenBLAS, or None where it
+    exports no scipy_dstevd_64_.
+
+    diag and off must be writable contiguous float64 arrays of lengths n and
+    n - 1; dstevd overwrites them, and diag is returned as the eigenvalues.
+    The eigenvectors come Fortran-ordered, as LAPACK writes them. No dense
+    matrix is formed: besides the n x n eigenvectors, dstevd's workspace
+    holds n^2 + 4n + 1 doubles. Raises numpy.linalg.LinAlgError where the
+    divide-and-conquer iteration fails to converge.
+    """
+    dstevd = _dstevd()
+    if dstevd is None:
+        return None
+    n = len(diag)
+    for band, length in ((diag, n), (off, n - 1)):
+        if not (band.shape == (length,) and band.dtype == np.float64
+                and band.flags.c_contiguous and band.flags.writeable):
+            raise ValueError(f"expected writable contiguous float64 bands of lengths {n}, {n - 1}")
+    vectors = np.empty((n, n))  # C-ordered: row k holds eigenvector k
+    work = np.empty(1 + 4 * n + n * n)
+    iwork = np.empty(3 + 5 * n, dtype=np.int64)
+    order, info = ctypes.c_int64(n), ctypes.c_int64()
+    # off may be empty (n = 1), which dstevd does not read
+    dstevd(_VECTORS, ctypes.byref(order), _pointer(diag), _pointer(off),
+           _pointer(vectors), ctypes.byref(order), _pointer(work),
+           ctypes.byref(ctypes.c_int64(len(work))), _pointer(iwork),
+           ctypes.byref(ctypes.c_int64(len(iwork))), ctypes.byref(info), _CHAR_LENGTH)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed to converge (info = {info.value})")
+    return diag, vectors.T
 
 
 def ldlt(a: np.ndarray) -> Factors:

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +15,23 @@ from chargeplane import (
     GAUSSIAN_WELL_POTENTIAL,
     QuadratureRule,
     R2_EXP_POTENTIAL,
+    RotatedHamiltonian,
     build_j_matrix,
     gauss_rule,
     potential_matrix,
 )
-from chargeplane.basis import j_factor_bands
+from chargeplane import lapack
+from chargeplane.basis import MAX_ORDER, j_factor_bands
+
+
+def assert_dense_rule(rule, m, nu):
+    """rule's nodes are those of numpy's dense eigensolver on J, bit for bit,
+    and its vectors the same up to each column's sign."""
+    nodes, vectors = np.linalg.eigh(build_j_matrix(m, nu))
+    assert rule.nodes.tobytes() == nodes.tobytes()
+    largest = np.abs(vectors).argmax(axis=0), np.arange(m)
+    signs = np.sign(rule.vectors[largest]) * np.sign(vectors[largest])
+    assert np.array_equal(rule.vectors * signs, vectors)
 
 
 class TestJMatrix:
@@ -99,6 +113,32 @@ class TestGaussRule:
     def test_nodes_strictly_ascending(self, m, nu):
         # the rule takes the tridiagonal eigensolver's order as it comes
         assert np.all(np.diff(gauss_rule(m, nu).nodes) > 0)
+
+    # dstevd on J's bands and syevd on the dense J run the same
+    # divide-and-conquer solver, so the rule is the dense one to the bit, up
+    # to column sign
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 250), nu=st.sampled_from([1, 3, 5, 7]))
+    def test_rule_is_the_dense_eigensolver_bit_for_bit(self, m, nu):
+        assert_dense_rule(gauss_rule.__wrapped__(m, nu), m, nu)
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.integers(1, 250), nu=st.sampled_from([1, 3, 5, 7]))
+    def test_fallback_needs_no_scipy(self, m, nu):
+        # numpy built on a LAPACK without the ILP64 symbols, and no scipy
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lapack, "openblas_paths", lambda: [])
+            patch.setitem(sys.modules, "scipy", None)
+            lapack._dstevd.cache_clear()
+            gauss_rule.cache_clear()
+            try:
+                assert lapack.eigh_tridiagonal(np.ones(1), np.ones(0)) is None
+                assert_dense_rule(gauss_rule(m, nu), m, nu)
+                cfg = ChannelConfig(l=(nu - 1) // 2, n_basis=m, scale=20.0, theta=0.5)
+                RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)  # assembly needs no scipy either
+            finally:
+                lapack._dstevd.cache_clear()
+                gauss_rule.cache_clear()
 
     # Every reader of rule.vectors multiplies two entries of one column, so a
     # column's sign cannot reach the potential matrix, bit for bit.
@@ -202,3 +242,20 @@ class TestChannelConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
             ChannelConfig(**kwargs)
+
+    # an N x N complex128 operator spans 16 N^2 bytes, which numpy can
+    # address only up to the largest intp; only the check runs here, since a
+    # machine could partly allocate an operator near the bound
+    @pytest.mark.parametrize("key", ["n_basis", "quad_size"])
+    def test_largest_addressable_order(self, key):
+        assert 16 * MAX_ORDER**2 <= np.iinfo(np.intp).max < 16 * (MAX_ORDER + 1) ** 2
+        with pytest.raises(ConfigError, match=f"{key} = {MAX_ORDER + 1} exceeds"):
+            ChannelConfig(**{"n_basis": 1, "scale": 1.0, key: MAX_ORDER + 1})
+        tracemalloc.start()
+        try:
+            cfg = ChannelConfig(**{"n_basis": 1, "scale": 1.0, key: MAX_ORDER})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cfg.quad_size == MAX_ORDER
+        assert peak < 4096

@@ -108,6 +108,15 @@ def _readme_config() -> dict:
     return yaml.safe_load(block)
 
 
+def _run_cli(command, cfg) -> subprocess.CompletedProcess:
+    """`python -m chargeplane.cli command --config cfg` in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "chargeplane.cli", command, "--config", cfg],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def _write_cfg(tmp_path, data, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
@@ -373,14 +382,20 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
 
     def test_non_mapping_section_exits_2_without_traceback(self, tmp_path):
-        cfg = _write_cfg(tmp_path, {**FIND, "scan": 5})
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-m", "chargeplane.cli", "table", "--config", cfg],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = _run_cli("table", _write_cfg(tmp_path, {**FIND, "scan": 5}))
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["configuration error: scan must be a mapping, got 5"]
+
+    def test_unaddressable_basis_exits_2_without_traceback(self, tmp_path):
+        # 16 N^2 bytes past the largest intp: rejected when read, not by numpy
+        data = {**HYDROGEN, "channel": {**HYDROGEN["channel"], "n_basis": 1.0e30}}
+        cfg = _write_cfg(tmp_path, data)
+        assert "n_basis: 1.0e+30" in (tmp_path / "run.yaml").read_text()
+        proc = _run_cli("eigs", cfg)
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("configuration error: channel: n_basis = 10000000000000000198")
+        assert "exceeds 759250124" in line
 
     def test_table_tolerance_failure(self, tmp_path, capsys):
         data = {

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargeplane import config
-from chargeplane.basis import ChannelConfig
+from chargeplane.basis import MAX_ORDER, ChannelConfig
 from chargeplane.config import load_config, parse_config
 from chargeplane.errors import ConfigError
 from chargeplane.potential import PotentialTerm
@@ -135,6 +135,7 @@ class TestParseConfig:
             ("theta_values", [float("nan")]),
             ("n_values", [120, 0]),
             ("n_values", [-3]),
+            ("n_values", [120, MAX_ORDER + 1]),
         ],
     )
     def test_every_stability_grid_value_checked(self, key, values):
@@ -168,10 +169,12 @@ class TestParseConfig:
         import copy
 
         data = copy.deepcopy(FULL)
-        data["stability"].update(lambda_values=[1e-300], theta_values=[0.0, 1.5], n_values=[1])
+        data["stability"].update(
+            lambda_values=[1e-300], theta_values=[0.0, 1.5], n_values=[1, MAX_ORDER]
+        )
         st_cfg = parse_config(data).stability
         assert (st_cfg.lambda_values, st_cfg.theta_values, st_cfg.n_values) == (
-            (1e-300,), (0.0, 1.5), (1,)
+            (1e-300,), (0.0, 1.5), (1, MAX_ORDER)
         )
 
     @settings(max_examples=100, deadline=None)

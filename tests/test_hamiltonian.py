@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,18 @@ from hypothesis import strategies as st
 from chargeplane import (
     ChannelConfig,
     ConfigError,
+    GAUSSIAN_WELL_POTENTIAL,
     PotentialModel,
     R2_EXP_POTENTIAL,
     RotatedHamiltonian,
     build_j_matrix,
     gauss_rule,
+    poles,
     potential_matrix,
+    refine_resonance,
 )
+from chargeplane import basis, lapack
+from chargeplane.potential import eval_potential
 
 ZERO_POTENTIAL = PotentialModel()
 
@@ -20,6 +27,19 @@ ZERO_POTENTIAL = PotentialModel()
 def dense_derivative(cfg):
     """D = dM/dE = J / lambda' as a dense matrix."""
     return build_j_matrix(cfg.n_basis, cfg.nu) / cfg.rotated_scale
+
+
+def dense_static(cfg, model):
+    """S written out densely: -(lambda'/8)|J| + sym(-(1/lambda') (L * w) @ L.T),
+    with sym mirroring the upper triangle by a sum, from the dense J and the
+    Gauss rule, with nothing shared with the module but gauss_rule."""
+    lam = cfg.rotated_scale
+    rule = gauss_rule(cfg.quad_size, cfg.nu)
+    weights = rule.nodes * eval_potential(model, rule.nodes / lam)
+    vecs = rule.vectors[: cfg.n_basis]
+    potential = -(1.0 / lam) * (vecs * weights) @ vecs.T
+    potential = np.triu(potential) + np.triu(potential, 1).T
+    return -(lam / 8) * np.abs(build_j_matrix(cfg.n_basis, cfg.nu)) + potential
 
 
 def closed_form_reference(cfg, energy):
@@ -50,19 +70,6 @@ class TestReferenceMatrix:
             np.exp(-0.4j) * RotatedHamiltonian(cfg0, ZERO_POTENTIAL).matrix(0.0),
             atol=1e-14,
         )
-
-    @pytest.mark.parametrize("l", [0, 1, 2, 3])
-    @pytest.mark.parametrize("energy", [-0.5, -0.125])
-    def test_coulomb_exactness(self, l, energy):
-        # lam = 2 sqrt(-2E) kills the off-diagonal; diagonal gives the
-        # hydrogen charges -sqrt(-2E) (n + l + 1) at any finite N
-        kappa = np.sqrt(-2 * energy)
-        cfg = ChannelConfig(l=l, n_basis=100, scale=2 * kappa, theta=0.0)
-        mat = RotatedHamiltonian(cfg, ZERO_POTENTIAL).matrix(energy)
-        off = mat - np.diag(np.diag(mat))
-        assert np.abs(off).max() <= 1e-13
-        n = np.arange(100)
-        assert np.abs(np.diag(mat).real - (-kappa * (n + l + 1))).max() <= 1e-13
 
 
 class TestPotentialMatrix:
@@ -218,15 +225,30 @@ class TestRotatedHamiltonian:
     def test_matrix_is_the_dense_expression(self, l, n, scale, theta, energy, z, model):
         cfg = ChannelConfig(l=l, n_basis=n, scale=scale, theta=theta)
         ham = RotatedHamiltonian(cfg, model)
-        lam, j_mat = cfg.rotated_scale, build_j_matrix(n, cfg.nu)
-        static = -(lam / 8) * np.abs(j_mat) + potential_matrix(
-            cfg, model, gauss_rule(cfg.quad_size, cfg.nu)
-        )
+        d_mat = build_j_matrix(n, cfg.nu) / cfg.rotated_scale
         mat = ham.matrix(energy, z)
-        assert np.array_equal(mat, static + energy * (j_mat / lam) - z * np.eye(n))
+        assert np.array_equal(mat, dense_static(cfg, model) + energy * d_mat - z * np.eye(n))
         assert np.array_equal(mat, mat.T)
         assert mat.flags.writeable
         assert not np.shares_memory(mat, ham.matrix(energy, z))
+
+    # S is built from J's bands in place; its bits, signed zeros included,
+    # are those of the dense sum
+    @settings(max_examples=60, deadline=None)
+    @given(
+        l=st.integers(0, 3),
+        n=st.integers(1, 60),
+        oversample=st.integers(0, 20),
+        scale=st.floats(1.0, 40.0),
+        theta=st.floats(0.0, 0.7),  # the Gaussian well overflows past pi/4
+        model=st.sampled_from([ZERO_POTENTIAL, R2_EXP_POTENTIAL, GAUSSIAN_WELL_POTENTIAL]),
+    )
+    def test_static_is_the_dense_sum_bit_for_bit(self, l, n, oversample, scale, theta, model):
+        cfg = ChannelConfig(l=l, n_basis=n, scale=scale, theta=theta, quad_size=n + oversample)
+        expected = dense_static(cfg, model)
+        assert RotatedHamiltonian(cfg, model).matrix(0.0).tobytes() == expected.tobytes()
+        potential = potential_matrix(cfg, model, gauss_rule(cfg.quad_size, cfg.nu))
+        assert np.array_equal(potential, potential.T)
 
     def test_matrix_into_out(self):
         cfg = ChannelConfig(l=1, n_basis=12, scale=5.0, theta=0.4)
@@ -247,3 +269,39 @@ class TestRotatedHamiltonian:
         for band in (ham._d_diag, ham._d_off):
             with pytest.raises(ValueError):
                 band[0] = 0.0
+
+
+class TestBandAssembly:
+    # S is built in V's memory: L * w, the complex copy of L.T that numpy's
+    # product makes, and V are the three operator-sized arrays alive at once
+    # (quad_size = N). Formed densely, with |J| and a mirrored copy, the
+    # assembly peaked at 5.9.
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_peak_memory_is_three_operators(self, n):
+        cfg = ChannelConfig(l=0, n_basis=n, scale=20.0, theta=0.7)
+        gauss_rule(cfg.quad_size, cfg.nu)  # the cached rule every assembly shares
+        tracemalloc.start()
+        try:
+            RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * 16 * n * n
+
+    def test_no_dense_j_is_formed(self, monkeypatch):
+        if lapack._dstevd() is None:
+            pytest.skip("numpy's LAPACK exports no scipy_dstevd_64_ here")
+
+        def dense_j(*args):
+            raise AssertionError("dense J formed")
+
+        monkeypatch.setattr(basis, "build_j_matrix", dense_j)
+        gauss_rule.cache_clear()
+        try:
+            cfg = ChannelConfig(l=0, n_basis=60, scale=20.0, theta=0.7)
+            gauss_rule(cfg.quad_size, cfg.nu)
+            ham = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)
+            assert refine_resonance(3.43 - 0.013j, 0.0, cfg, R2_EXP_POTENTIAL, ham).converged
+            assert len(poles(ham, 0.0)) == 60
+        finally:
+            gauss_rule.cache_clear()
