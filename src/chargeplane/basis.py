@@ -120,24 +120,19 @@ def build_j_matrix(m: int, nu: float) -> np.ndarray:
 def gauss_rule(m: int, nu: float) -> QuadratureRule:
     """Gauss quadrature of size m from diagonalizing the J matrix.
 
-    Nodes come ascending from LAPACK's tridiagonal eigensolver (dstevd) on
-    J's two bands, made once per (m, nu) with no dense J formed. Where
-    numpy's LAPACK lacks dstevd, numpy's dense symmetric eigensolver (syevd)
-    runs on build_j_matrix instead. Both give the same bits up to column
-    sign: syevd's tridiagonal reduction of a matrix that is already
-    tridiagonal makes identity reflectors, and then runs the same
-    divide-and-conquer solver. Column signs are left as the solver returns
-    them: every use of the rule multiplies two entries of one column,
-    vectors[n, k] * vectors[m, k], and negating both factors leaves that
-    product, and so every sum of such products, exact to the bit. Rules are
-    cached by (m, nu) and shared between callers, which is safe because
-    their arrays are read-only.
+    Nodes come ascending from `lapack.eigh_tridiagonal` on J's two bands,
+    made once per (m, nu); the tridiagonal solver forms no dense J, and its
+    dense fallback gives the same bits up to column sign. Column signs are
+    left as the solver returns them: every use of the rule multiplies two
+    entries of one column, vectors[n, k] * vectors[m, k], and negating both
+    factors leaves that product, and so every sum of such products, exact to
+    the bit. Rules are cached by (m, nu) and shared between callers, which
+    is safe because their arrays are read-only.
     """
     try:
-        found = lapack.eigh_tridiagonal(*j_matrix_bands(m, nu))
-        nodes, vectors = found if found is not None else np.linalg.eigh(build_j_matrix(m, nu))
+        nodes, vectors = lapack.eigh_tridiagonal(*j_matrix_bands(m, nu))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - not expected
-        raise EigensolverError(f"J-matrix eigensolver failed at order {m}", order=m) from exc
+        raise EigensolverError(f"J-matrix eigensolver failed at order {m}") from exc
     nodes.setflags(write=False)
     vectors.setflags(write=False)
     return QuadratureRule(nu=nu, size=m, nodes=nodes, vectors=vectors)

@@ -7,25 +7,23 @@ charge from one eigensolve (`resonance.poles`: the pencil (S - Z_t, -D),
 reduced by the bidiagonal Cholesky factor of D's real J matrix to one
 complex-symmetric standard problem) and refines and stability-checks them;
 sweep traces the charge trajectories that picture them. `main` runs
-OpenBLAS at one thread, so outputs do not depend on the host's BLAS
-threading. Exit codes: 0 success, 1 physics tolerance failure,
-2 configuration error, 3 solver failure.
+every command with BLAS at one thread (`lapack.one_thread`), so outputs do
+not depend on the host's BLAS threading. Exit codes: 0 success, 1 physics
+tolerance failure, 2 configuration error, 3 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import contextlib
-import ctypes
 import dataclasses
 import sys
 from pathlib import Path
 
+from . import lapack
 from .config import RunConfig, load_config
 from .eigensolver import eigen_decompose
 from .errors import ChargePlaneError, ConfigError, EigensolverError
-from .lapack import openblas_paths
 from .output import (
     eigenvalues_to_lines,
     resonances_to_json,
@@ -194,40 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS loaded into this
-    process (`lapack.openblas_paths`). Empty where none is found."""
-    controls = []
-    for path in openblas_paths():
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return controls
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Every loaded OpenBLAS at one thread inside the block; the previous
-    thread counts are restored after it."""
-    saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
-    for set_, _ in saved:
-        set_(1)
-    try:
-        yield
-    finally:
-        for set_, threads in saved:
-            set_(threads)
-
-
 def main(argv=None) -> int:
-    """Run one command with every loaded OpenBLAS at one thread."""
-    with _one_blas_thread():
+    """Run one command with BLAS at one thread."""
+    with lapack.one_thread():
         return _run(argv)
 
 

@@ -46,7 +46,7 @@ def _checked_square(mat) -> np.ndarray:
     if mat.shape != (n, n) or n < 1:
         raise EigensolverError(f"expected a square matrix of order >= 1, got {mat.shape}")
     if not np.all(np.isfinite(mat)):
-        raise EigensolverError("matrix contains non-finite entries", order=n)
+        raise EigensolverError(f"matrix of order {n} contains non-finite entries")
     return mat
 
 
@@ -71,15 +71,14 @@ def eigenvalues(mat: np.ndarray) -> np.ndarray:
     try:
         values = np.linalg.eigvals(mat)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"QR iteration failed at order {n}: {exc}", order=n) from exc
+        raise EigensolverError(f"QR iteration failed at order {n}: {exc}") from exc
     if not np.all(np.isfinite(values)):
-        raise EigensolverError(f"non-finite eigenvalues at order {n}", order=n)
+        raise EigensolverError(f"non-finite eigenvalues at order {n}")
     misfit = abs(complex(values.sum()) - trace)
     if misfit > TRACE_BOUND * scale:
         raise EigensolverError(
             f"trace check violated at order {n}: |sum(z) - tr M| = "
-            f"{misfit / scale:.3e} x ||M||_F",
-            order=n,
+            f"{misfit / scale:.3e} x ||M||_F"
         )
     values = values[_sorted_order(values)]
     values.setflags(write=False)
@@ -98,7 +97,7 @@ def eigen_decompose(mat: np.ndarray) -> EigenSet:
     try:
         values, vectors = np.linalg.eig(mat)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"QR iteration failed at order {n}: {exc}", order=n) from exc
+        raise EigensolverError(f"QR iteration failed at order {n}: {exc}") from exc
 
     order = _sorted_order(values)
     values = values[order]
@@ -115,8 +114,7 @@ def eigen_decompose(mat: np.ndarray) -> EigenSet:
     if np.any(residuals > RESIDUAL_BOUND * scale):
         worst = float(residuals.max() / scale)
         raise EigensolverError(
-            f"residual contract violated at order {n}: max relative residual {worst:.3e}",
-            order=n,
+            f"residual contract violated at order {n}: max relative residual {worst:.3e}"
         )
     values.setflags(write=False)
     vectors.setflags(write=False)

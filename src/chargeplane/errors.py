@@ -12,10 +12,6 @@ class ConfigError(ChargePlaneError):
 class EigensolverError(ChargePlaneError):
     """Dense eigensolver failed to converge or violated its residual contract."""
 
-    def __init__(self, message, order=None):
-        super().__init__(message)
-        self.order = order
-
 
 class DegenerateEigenvectorError(ChargePlaneError):
     """Quasi-null bilinear norm x.T @ x; the eigenvalue-derivative formula

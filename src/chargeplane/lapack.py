@@ -1,6 +1,7 @@
-"""LAPACK's complex-symmetric LDL^T factorization (zsytrf) and solve (zsytrs),
-and its symmetric tridiagonal eigensolver (dstevd), called in the OpenBLAS
-that numpy loads.
+"""The one module that knows which LAPACK the process has: it binds the
+complex-symmetric LDL^T factorization (zsytrf) and solve (zsytrs) and the
+symmetric tridiagonal eigensolver (dstevd), and pins every loaded OpenBLAS
+to one thread (`one_thread`).
 
 numpy's wheels bundle an ILP64 OpenBLAS that exports all of LAPACK under
 `scipy_` names with a `64_` suffix, so neither refinement nor assembly needs
@@ -10,13 +11,14 @@ by reference, and each one-character argument (`uplo`, `jobz`) takes a
 hidden length argument at the end. Where those symbols are missing (numpy
 built on MKL or on a system LAPACK, or no readable /proc/self/maps), the
 LDL^T pair falls back to `scipy.linalg`'s wrappers, and `eigh_tridiagonal`
-returns None so that its caller can use numpy's dense eigensolver. The two
-libraries' pivot arrays differ in integer width, so factors carry their own
-solve, and only the library that made them solves with them.
+to numpy's dense symmetric eigensolver. The two libraries' pivot arrays
+differ in integer width, so factors carry their own solve, and only the
+library that made them solves with them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 from functools import lru_cache
@@ -35,9 +37,10 @@ _ONE = ctypes.byref(ctypes.c_int64(1))
 class Factors(NamedTuple):
     """Bunch-Kaufman factors of a complex-symmetric matrix A, computed in the
     memory of the array that held A, so D lies on its diagonal. info > 0 marks
-    an exactly zero 1 x 1 pivot of D, which LAPACK leaves in place; ipiv > 0
-    marks a 1 x 1 pivot. solve(b) overwrites b, a writable contiguous
-    complex128 vector of the matrix's order, with A^-1 b."""
+    an exactly zero 1 x 1 pivot of D, which `ldlt` has replaced by eps times
+    the largest |pivot|; ipiv > 0 marks a 1 x 1 pivot. solve(b) overwrites b,
+    a writable contiguous complex128 vector of the matrix's order, with
+    A^-1 b."""
 
     ipiv: np.ndarray
     info: int
@@ -174,27 +177,28 @@ def _pointer(a: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(a.ctypes.data)
 
 
-def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple | None:
+def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple:
     """Eigenvalues, ascending, and orthonormal eigenvectors (as columns) of
     the real symmetric tridiagonal matrix with diagonal diag and first
-    off-diagonal off, by LAPACK dstevd in numpy's OpenBLAS, or None where it
-    exports no scipy_dstevd_64_.
+    off-diagonal off.
 
     diag and off must be writable contiguous float64 arrays of lengths n and
-    n - 1; dstevd overwrites them, and diag is returned as the eigenvalues.
-    The eigenvectors come Fortran-ordered, as LAPACK writes them. No dense
-    matrix is formed: besides the n x n eigenvectors, dstevd's workspace
-    holds n^2 + 4n + 1 doubles. Raises numpy.linalg.LinAlgError where the
-    divide-and-conquer iteration fails to converge.
+    n - 1. dstevd in numpy's OpenBLAS overwrites them, returns diag as the
+    eigenvalues and the eigenvectors Fortran-ordered, and forms no dense
+    matrix: its workspace holds n^2 + 4n + 1 doubles. Without
+    scipy_dstevd_64_, numpy's dense syevd on the same bands gives the same
+    bits up to column sign: its reduction of a tridiagonal matrix makes
+    identity reflectors, then runs the same divide-and-conquer solver.
+    Raises numpy.linalg.LinAlgError where that solver fails to converge.
     """
-    dstevd = _dstevd()
-    if dstevd is None:
-        return None
     n = len(diag)
     for band, length in ((diag, n), (off, n - 1)):
         if not (band.shape == (length,) and band.dtype == np.float64
                 and band.flags.c_contiguous and band.flags.writeable):
             raise ValueError(f"expected writable contiguous float64 bands of lengths {n}, {n - 1}")
+    dstevd = _dstevd()
+    if dstevd is None:
+        return np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     vectors = np.empty((n, n))  # C-ordered: row k holds eigenvector k
     work = np.empty(1 + 4 * n + n * n)
     iwork = np.empty(3 + 5 * n, dtype=np.int64)
@@ -214,10 +218,53 @@ def ldlt(a: np.ndarray) -> Factors:
     writable C-ordered complex128 square array, computed in a's own memory.
 
     Only one triangle is read, so a must be exactly symmetric. The solve
-    reads the factors from a, so a write to a changes them.
+    reads the factors from a, so a write to a changes them. An exactly zero
+    1 x 1 pivot of D is still reported in info, but replaced by eps times the
+    largest |pivot|, so the solve of a matrix singular to working precision
+    returns its null direction, as inverse iteration does (LAPACK's xLAEIN).
     """
     n = len(a)
     if not (a.shape == (n, n) and a.dtype == np.complex128 and a.flags.c_contiguous
             and a.flags.writeable):
         raise ValueError(f"expected a writable C-ordered complex128 square matrix, got {a.shape}")
-    return _backend().factor(a)
+    factors = _backend().factor(a)
+    if factors.info > 0:
+        pivots = np.diagonal(a)
+        zero = np.flatnonzero((pivots == 0) & (factors.ipiv > 0))
+        a[zero, zero] = np.finfo(float).eps * np.abs(pivots).max()
+    return factors
+
+
+def _thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS loaded into this
+    process (`openblas_paths`). Empty where none is found."""
+    controls = []
+    for path in openblas_paths():
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def one_thread():
+    """Every loaded OpenBLAS at one thread inside the block, the previous
+    counts restored after it. The LDL^T backend is resolved first, so a
+    scipy fallback's OpenBLAS is loaded before it is pinned; where there is
+    none, the block still runs and its first factorization raises."""
+    with contextlib.suppress(EigensolverError):
+        _backend()
+    saved = [(set_, get()) for get, set_ in _thread_controls()]
+    for set_, _ in saved:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, threads in saved:
+            set_(threads)

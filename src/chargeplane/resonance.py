@@ -115,20 +115,14 @@ def _ldlt_factor(mat: np.ndarray, at_iterate: bool = False) -> lapack.Factors:
     Only one triangle is read, so mat must be exactly symmetric, as
     RotatedHamiltonian.matrix returns it, and C-ordered.
 
-    An exactly zero 1 x 1 pivot of D (2 x 2 pivots are never singular)
-    raises EigensolverError, unless at_iterate: then mat is M(E) - Z_t at a
-    Rayleigh-quotient iterate E, a pole to working precision, and each zero
-    pivot becomes eps times the largest pivot, so the solve returns the null
-    direction, as inverse iteration does (LAPACK's xLAEIN).
+    An exactly singular mat raises EigensolverError, unless at_iterate: then
+    mat is M(E) - Z_t at a Rayleigh-quotient iterate E, a pole to working
+    precision, and the factors, whose zero pivots `lapack.ldlt` has
+    repaired, solve for the null direction.
     """
     factors = lapack.ldlt(mat)
-    if factors.info > 0:
-        n = len(mat)
-        if not at_iterate:
-            raise EigensolverError(f"exactly singular matrix at order {n}", order=n)
-        pivots = np.diagonal(mat)
-        zero = np.flatnonzero((pivots == 0) & (factors.ipiv > 0))
-        mat[zero, zero] = np.finfo(float).eps * np.abs(pivots).max()
+    if factors.info > 0 and not at_iterate:
+        raise EigensolverError(f"exactly singular matrix at order {len(mat)}")
     return factors
 
 
@@ -145,7 +139,7 @@ def _ldlt_solve(factors: lapack.Factors, rhs: np.ndarray) -> np.ndarray:
     factors.solve(rhs)
     norm = _norm(rhs)
     if not math.isfinite(norm):
-        raise EigensolverError(f"non-finite solve at order {len(rhs)}", order=len(rhs))
+        raise EigensolverError(f"non-finite solve at order {len(rhs)}")
     rhs /= norm
     return rhs
 
@@ -339,10 +333,10 @@ DEFAULT_IM_SCHEDULE = (-0.025, -0.1, -0.4, -1.6, -3.2, -6.4, -12.8, -25.6)
 
 def _default_stability_grid(cfg: ChannelConfig):
     """The (lambda, theta, N) values `scan` varies: lambda halved and doubled,
-    theta moved by 0.05 either way (kept inside (0, pi/2)), N as is."""
+    theta moved by 0.05 either way (kept inside [0, pi/2)), N as is."""
     lams = (cfg.scale / 2, cfg.scale, 2 * cfg.scale)
     thetas = tuple(
-        t for t in (cfg.theta - 0.05, cfg.theta, cfg.theta + 0.05) if 0 < t < np.pi / 2
+        t for t in (cfg.theta - 0.05, cfg.theta, cfg.theta + 0.05) if 0 <= t < np.pi / 2
     )
     return lams, thetas, (cfg.n_basis,)
 

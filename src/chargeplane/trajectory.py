@@ -114,7 +114,7 @@ def sweep(cfg: ChannelConfig, model: PotentialModel, grid: EnergyGrid) -> list[T
         try:
             eigensets.append(eigenvalues(ham.matrix(e)))
         except EigensolverError as exc:
-            raise EigensolverError(f"eigensolve failed at E = {e}: {exc}", exc.order) from exc
+            raise EigensolverError(f"eigensolve failed at E = {e}: {exc}") from exc
 
     n = cfg.n_basis
     paths = np.empty((n, len(energies)), dtype=complex)

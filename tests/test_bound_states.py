@@ -5,14 +5,26 @@ It checks the band writes of the assembly (the three bands of
 -(lambda'/8)|J| in S and of D = J / lambda'), the Cholesky reduction in
 `poles` and refinement, at general (lambda, theta), against exact numbers
 rather than stored references. lambda is drawn around 2 kappa, with
-kappa = |Z| / (l + 1) the ground state's decay rate.
+kappa = |Z| / (l + 1) the ground state's decay rate. The same exact numbers
+test the plateau verdict of `scan`'s default stability grid: a state the
+basis resolves is a plateau, and one it does not resolve is not, although
+its refinement converges.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargeplane import ChannelConfig, PotentialModel, RotatedHamiltonian, poles, refine_resonance
+from chargeplane import (
+    ChannelConfig,
+    PotentialModel,
+    RotatedHamiltonian,
+    poles,
+    refine_resonance,
+    stability_scan,
+)
+from chargeplane.resonance import _default_stability_grid
 
 FREE = PotentialModel()
 
@@ -52,3 +64,42 @@ def test_refinement_lands_on_the_bound_states(channel):
         res = refine_resonance(energy * (1 + 1e-3), channel["charge"], cfg, FREE, ham)
         assert res.converged
         assert abs(res.energy - energy) <= 1e-12 * abs(energy)
+
+
+# With V = 0, M(E) is tridiagonal, and at theta = 0 it is real. For these
+# states, M(E) - Z_t at the converged ground state is exactly singular at
+# the grid point lambda / 2 = kappa, so re-refinement there raises at its
+# guess and the verdict is no plateau.
+_SINGULAR_AT_KAPPA = pytest.mark.xfail(
+    strict=True, reason="refinement from a pole exact to working precision raises"
+)
+
+
+@pytest.mark.parametrize(
+    "l, charge, theta",
+    [
+        pytest.param(l, z, theta, marks=_SINGULAR_AT_KAPPA if (l, theta) == (1, 0.0) else ())
+        for l in range(3)
+        for z in (-1.0, -2.0)
+        for theta in (0.0, 0.3)
+    ],
+)
+def test_ground_state_is_a_plateau_at_two_kappa(l, charge, theta):
+    cfg, (exact, *_) = _setup(l, charge, 2.0, theta)
+    res = refine_resonance(exact * (1 + 1e-3), charge, cfg, FREE)
+    assert res.converged
+    grid = _default_stability_grid(cfg)
+    assert theta in grid[1]  # theta = 0 keeps the channel's own point
+    assert stability_scan(res, *grid, cfg, FREE).plateau
+
+
+def test_unresolved_state_converges_off_it_and_is_no_plateau():
+    # lambda = 20 is 60 kappa for n = 3 of l = 1 at Z = -1 (kappa = 1/3), so
+    # the basis barely reaches the state: refinement converges, but about
+    # 1e-2 away, and only the stability verdict says so
+    cfg = ChannelConfig(l=1, n_basis=120, scale=20.0, theta=0.7)
+    exact = -1.0 / 18
+    res = refine_resonance(exact * (1 + 1e-3), -1.0, cfg, FREE)
+    assert res.converged
+    assert abs(res.energy - exact) > 1e-3
+    assert not stability_scan(res, *_default_stability_grid(cfg), cfg, FREE).plateau

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from chargeplane import cli, resonance
+from chargeplane import cli, lapack, resonance
 from chargeplane.cli import main
 from chargeplane.hamiltonian import RotatedHamiltonian
 
@@ -476,9 +476,55 @@ class TestSharedAssembly:
         assert built == [(20.0, 0.7, 60), (25.0, 0.7, 60), (20.0, 0.6, 60), (25.0, 0.6, 60)]
 
 
+# The thread count of every loaded OpenBLAS at each LDL^T factorization of
+# a `find` run (config argv[1], output directory argv[2]) in which numpy's
+# OpenBLAS hides its ILP64 zsytrf/zsytrs pair, so scipy's OpenBLAS, loaded
+# only for that fallback, factors. The library lookup itself still works.
+_PIN_UNDER_THE_FALLBACK = """
+import json, os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "2"  # read when each OpenBLAS loads
+from chargeplane import lapack
+from chargeplane.cli import main
+exported = lapack._exported
+lapack._exported = lambda *names: None if "scipy_zsytrf_64_" in names else exported(*names)
+factor, seen = lapack._SciPy.factor, []
+def recording(self, a):
+    seen.append([get() for get, _ in lapack._thread_controls()])
+    return factor(self, a)
+lapack._SciPy.factor = recording
+assert main(["find", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(json.dumps(seen))
+"""
+
+# Exit codes of `eigs` and `find` (configs argv[1] and argv[2]) where numpy
+# exports none of the ILP64 symbols and scipy.linalg cannot be imported.
+_NO_BACKEND = """
+import sys
+sys.modules["scipy.linalg"] = None
+from chargeplane import lapack
+from chargeplane.cli import main
+lapack._exported = lambda *names: None
+out = sys.argv[3]
+print(main(["eigs", "--config", sys.argv[1], "--out", out]),
+      main(["find", "--config", sys.argv[2], "--out", out]))
+"""
+
+
 class TestBlasPin:
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs 1 thread on 1 CPU")
+    def test_fallback_library_is_pinned_too(self, tmp_path, fresh_python):
+        cfg = _write_cfg(tmp_path, FIND)
+        seen = json.loads(fresh_python(_PIN_UNDER_THE_FALLBACK, cfg, tmp_path / "res"))
+        assert seen and all(threads == [1] * len(threads) for threads in seen), seen
+
+    def test_no_backend_fails_only_refinement(self, tmp_path, fresh_python):
+        eigs, find = _write_cfg(tmp_path, HYDROGEN, "eigs.yaml"), _write_cfg(tmp_path, FIND)
+        out = fresh_python(_NO_BACKEND, eigs, find, tmp_path / "res")
+        assert out.split() == [str(cli.EXIT_OK), str(cli.EXIT_SOLVER)]
+        assert (tmp_path / "res" / "eigenvalues.csv").is_file()
+
     def test_one_thread_inside_main_and_restored_after(self, tmp_path, monkeypatch):
-        controls = cli._openblas_thread_controls()
+        controls = lapack._thread_controls()
         if not controls:
             pytest.skip("no OpenBLAS loaded in this process")
         saved = [get() for get, _ in controls]

@@ -1,9 +1,12 @@
 """Tests for the LDL^T binding: numpy's own OpenBLAS and the scipy fallback
 give the same factors and solves, factors keep the library that made them,
-a process with neither is a solver error, and importing the package loads
-no scipy."""
+an exactly zero pivot is repaired, a process with neither library is a
+solver error, importing the package loads no scipy, and no other module of
+the package knows which library it has."""
 
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,9 +79,16 @@ class TestLDLT:
         assert np.linalg.norm(a @ x - 1) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x)
 
     def test_exactly_zero_pivot_is_reported(self, backend):
-        factors = lapack.ldlt(np.diag([1.0, 0.0, 2.0]).astype(complex))
+        a = np.diag([1.0, 0.0, 2.0]).astype(complex)
+        factors = lapack.ldlt(a)
         assert factors.info == 2  # LAPACK counts from 1
         assert factors.ipiv[1] > 0  # a 1 x 1 pivot
+        # repaired to eps times the largest pivot, so the solve returns the
+        # null direction
+        assert a[1, 1] == 2 * np.finfo(float).eps
+        x = np.ones(3, dtype=complex)
+        factors.solve(x)
+        assert np.argmax(np.abs(x)) == 1
 
     @pytest.mark.parametrize(
         "bad",
@@ -150,3 +160,19 @@ else:
 
 def test_the_package_runs_without_scipy(fresh_python):
     assert fresh_python(_SCIPY_MODULES).splitlines() == ["[]", "[]"]
+
+
+# What only the binding may know of the library: ctypes, the libraries' and
+# their exported symbols' names, the routines it binds or falls back to,
+# the thread controls and Bunch-Kaufman's pivot storage.
+_LIBRARY_KNOWLEDGE = re.compile(r"\bctypes\b|openblas|_64_|sytr[fs]|stevd|syevd|num_threads|ipiv")
+
+
+def test_only_the_binding_knows_the_library():
+    package = Path(lapack.__file__).parent
+    found = {
+        path.name: _LIBRARY_KNOWLEDGE.findall(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "lapack.py"
+    }
+    assert found and not any(found.values()), found
