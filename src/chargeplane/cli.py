@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import lapack
 from .config import RunConfig, load_config
-from .eigensolver import eigen_decompose
+from .eigensolver import eigenvalues
 from .errors import ChargePlaneError, ConfigError, EigensolverError
 from .output import (
     eigenvalues_to_lines,
@@ -77,8 +77,8 @@ def _warn_unexposed(results, theta: float):
 def cmd_eigs(cfg: RunConfig, args) -> int:
     energy = _require(cfg.scan.energy, "scan.energy")
     ham = shared_hamiltonian(cfg.channel, cfg.potential)
-    eigenset = eigen_decompose(ham.matrix(energy))
-    _write(args.out, "eigenvalues.csv", eigenvalues_to_lines(eigenset.values))
+    values = eigenvalues(ham.matrix(energy))
+    _write(args.out, "eigenvalues.csv", eigenvalues_to_lines(values))
     return EXIT_OK
 
 

@@ -9,7 +9,9 @@ Laguerre J matrix (nu = 2l + 1) and lambda' = lambda * exp(-i*theta):
 |J| is J with its off-diagonal sign flipped (J's diagonal is positive and its
 off-diagonal negative) and V is the potential matrix by Gauss quadrature.
 Both terms and D are built from J's two bands and the Gauss rule, with no
-dense J, and S is formed in V's memory. Rotation enters only through the
+dense J, and S is formed in V's memory. V's real and imaginary parts are
+two real products over its upper triangle, since the rule's vectors are
+real and only the weights are complex. Rotation enters only through the
 single complex scale lambda'; there is no coordinate-space rotation code
 path. The eigenvalues of M(E) are the poles {Z_n} of the finite Green's
 function.
@@ -23,17 +25,28 @@ from .basis import ChannelConfig, QuadratureRule, gauss_rule, j_matrix_bands
 from .errors import ConfigError, EigensolverError
 from .potential import PotentialModel, eval_potential
 
+# Rows of V per panel of its real products. A panel's two temporaries,
+# PANEL_ROWS x quad_size and PANEL_ROWS x N reals, are what V's assembly
+# holds besides V itself.
+PANEL_ROWS = 64
+
 
 def potential_matrix(
     cfg: ChannelConfig, model: PotentialModel, rule: QuadratureRule
 ) -> np.ndarray:
     """Dense matrix of the rotated potential term by Gauss quadrature.
 
-    V[n, m] = -(1/lambda') * sum_k L[n,k] L[m,k] mu_k V(mu_k / lambda').
-    The nodes mu_k / lambda' lie on the rotated ray, so the potential is
-    evaluated at complex radius. The product is formed once, as
-    (-(1/lambda') * (L * w)) @ L.T, and its upper triangle is mirrored into
-    its lower one in place, so V is exactly symmetric.
+    V[n, m] = sum_k L[n,k] L[m,k] s_k, with the scale folded into the
+    weights: s_k = -(1/lambda') mu_k V(mu_k / lambda'). The nodes
+    mu_k / lambda' lie on the rotated ray, so the potential is evaluated at
+    complex radius. L is real, so V's real and imaginary parts are the two
+    real products (L * s.real) @ L.T and (L * s.imag) @ L.T: no complex copy
+    of L and a quarter of the real flops of one complex product. Each is
+    formed over V's upper triangle only, PANEL_ROWS rows at a time, straight
+    into V's own memory, and the upper triangle is then mirrored into the
+    lower one in place, so V is exactly symmetric. Every entry is one dot
+    product over k, whatever the panel; BLAS may still round a product of
+    another shape differently, so the panel height is fixed.
     """
     if rule.nu != cfg.nu:
         raise ConfigError(f"quadrature nu={rule.nu} does not match channel nu={cfg.nu}")
@@ -41,12 +54,15 @@ def potential_matrix(
         raise ConfigError(
             f"quadrature size {rule.size} smaller than basis size {cfg.n_basis}"
         )
-    lam = cfg.rotated_scale
-    radii = rule.nodes / lam
-    weights = rule.nodes * eval_potential(model, radii)
-    vecs = rule.vectors[: cfg.n_basis, :]
-    mat = -(1.0 / lam) * (vecs * weights) @ vecs.T
-    for row in range(1, cfg.n_basis):
+    lam, n = cfg.rotated_scale, cfg.n_basis
+    scaled = -(1.0 / lam) * (rule.nodes * eval_potential(model, rule.nodes / lam))
+    vecs = rule.vectors[:n, :]
+    mat = np.empty((n, n), dtype=np.complex128)
+    for part, weights in ((mat.real, scaled.real), (mat.imag, scaled.imag)):
+        for lo in range(0, n, PANEL_ROWS):
+            hi = lo + PANEL_ROWS
+            part[lo:hi, lo:] = (vecs[lo:hi] * weights) @ vecs[lo:].T
+    for row in range(1, n):
         mat[row, :row] = mat[:row, row]
     mat += 0.0  # -0 becomes +0, so a zero entry has one bit pattern whatever its rounding
     return mat
@@ -57,15 +73,15 @@ class RotatedHamiltonian:
 
     S is built in the memory of the potential matrix: the three bands of
     -(lambda'/8)|J| are added to V in place, from J's bands, so no dense J
-    is formed. Its peak is that of V's product, three operator-sized arrays
-    at quad_size = N: L * w, its complex copy of L.T, and V itself. D is
-    tridiagonal and kept as its three bands. Both are read-only, so one
-    instance serves every energy, and `resonance.shared_hamiltonian` shares
-    one per (channel, potential) in a process. matrix(E, z) costs one copy
-    of S plus O(N) updates on D's bands, into a fresh array or one the
-    caller passes, and is exactly symmetric. apply_static(x) and
-    apply_derivative(x) are S x and D x from the stored S and bands, with no
-    operator-sized temporary.
+    is formed. V is the one operator-sized array of the assembly: its two
+    real products run by row panels, whose temporaries are PANEL_ROWS rows
+    of real numbers each. D is tridiagonal and kept as its three bands. Both
+    are read-only, so one instance serves every energy, and
+    `resonance.shared_hamiltonian` shares one per (channel, potential) in a
+    process. matrix(E, z) costs one copy of S plus O(N) updates on D's
+    bands, into a fresh array or one the caller passes, and is exactly
+    symmetric. apply_static(x) and apply_derivative(x) are S x and D x from
+    the stored S and bands, with no operator-sized temporary.
     """
 
     def __init__(self, cfg: ChannelConfig, model: PotentialModel):

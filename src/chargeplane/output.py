@@ -22,7 +22,9 @@ def fmt(x) -> str:
 
 
 def _round_sig(x):
-    return None if x is None else float(fmt(x))
+    # + 0.0 turns -0.0 into 0.0: at theta = 0 a real pole's Im E is +0.0,
+    # and its gamma = -2 Im E would otherwise print as -0.0
+    return None if x is None else float(fmt(x)) + 0.0
 
 
 def eigenvalues_to_lines(values) -> str:

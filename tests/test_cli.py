@@ -308,6 +308,25 @@ class TestStability:
         assert report["plateau"] is True
         assert len(report["grid"]) == 9
 
+    def test_real_pole_at_theta_zero_has_unsigned_zero_gamma(self, tmp_path):
+        # V = 0 at theta = 0: the hydrogenic ground state E = -1/2 (Z = -1)
+        # is real, Im E = +0.0, so gamma = -2 Im E is -0.0 before printing
+        data = {
+            "channel": {"l": 0, "n_basis": 20, "scale": 2.0, "theta": 0.0},
+            "scan": {"guess": {"re": -0.49, "im": 0.0}, "z_targets": [-1.0]},
+            "stability": {"lambda_values": [2.0, 2.5], "theta_values": [0.0]},
+        }
+        cfg = _write_cfg(tmp_path, data)
+        out = tmp_path / "res"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "resonances.json").read_text()
+        assert "-0.0" not in text
+        (rec,) = json.loads(text)
+        assert rec["e_r"] == -0.5 and rec["stability"]["plateau"] is True
+        gammas = [rec["gamma"]] + [p["gamma"] for p in rec["stability"]["grid"]]
+        assert len(gammas) == 3
+        assert all(g == 0.0 and np.copysign(1.0, g) == 1.0 for g in gammas)
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):

@@ -29,17 +29,26 @@ def dense_derivative(cfg):
     return build_j_matrix(cfg.n_basis, cfg.nu) / cfg.rotated_scale
 
 
-def dense_static(cfg, model):
-    """S written out densely: -(lambda'/8)|J| + sym(-(1/lambda') (L * w) @ L.T),
-    with sym mirroring the upper triangle by a sum, from the dense J and the
-    Gauss rule, with nothing shared with the module but gauss_rule."""
+def dense_potential(cfg, model):
+    """V written out densely, with nothing shared with the module but
+    gauss_rule: the scale folded into the weights,
+    s = -(1/lambda') mu V(mu / lambda'), the real and imaginary parts the two
+    full real products (L * s.real) @ L.T and (L * s.imag) @ L.T, and the
+    upper triangle mirrored by a sum."""
     lam = cfg.rotated_scale
     rule = gauss_rule(cfg.quad_size, cfg.nu)
-    weights = rule.nodes * eval_potential(model, rule.nodes / lam)
+    scaled = -(1.0 / lam) * (rule.nodes * eval_potential(model, rule.nodes / lam))
     vecs = rule.vectors[: cfg.n_basis]
-    potential = -(1.0 / lam) * (vecs * weights) @ vecs.T
-    potential = np.triu(potential) + np.triu(potential, 1).T
-    return -(lam / 8) * np.abs(build_j_matrix(cfg.n_basis, cfg.nu)) + potential
+    potential = np.empty((cfg.n_basis, cfg.n_basis), dtype=complex)
+    potential.real = (vecs * scaled.real) @ vecs.T
+    potential.imag = (vecs * scaled.imag) @ vecs.T
+    return np.triu(potential) + np.triu(potential, 1).T
+
+
+def dense_static(cfg, model):
+    """S written out densely: -(lambda'/8)|J| + V, from the dense J."""
+    lam = cfg.rotated_scale
+    return -(lam / 8) * np.abs(build_j_matrix(cfg.n_basis, cfg.nu)) + dense_potential(cfg, model)
 
 
 def closed_form_reference(cfg, energy):
@@ -96,6 +105,24 @@ class TestPotentialMatrix:
         rule = gauss_rule(50, cfg.nu)
         mat = potential_matrix(cfg, R2_EXP_POTENTIAL, rule)
         assert np.array_equal(mat, mat.T)
+
+    # Orders around and past the panel height: every entry of V is written,
+    # by its panel or by the mirror, and each is the dense sum within the
+    # rounding bound of any summation order, a multiple of
+    # K eps sum_k |L[n,k] s_k L[m,k]| (BLAS may round a panel's product
+    # otherwise than the full one's; at one thread the gaps were under
+    # 0.34 eps sum_k).
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
+    def test_panels_cover_the_matrix(self, n):
+        cfg = ChannelConfig(l=1, n_basis=n, scale=20.0, theta=0.7, quad_size=n + 7)
+        rule = gauss_rule(cfg.quad_size, cfg.nu)
+        mat = potential_matrix(cfg, GAUSSIAN_WELL_POTENTIAL, rule)
+        lam = cfg.rotated_scale
+        weights = np.abs(rule.nodes * eval_potential(GAUSSIAN_WELL_POTENTIAL, rule.nodes / lam) / lam)
+        vecs = np.abs(rule.vectors[:n])
+        bound = 4 * rule.size * np.finfo(float).eps * ((vecs * weights) @ vecs.T)
+        assert np.array_equal(mat, mat.T)
+        assert np.all(np.abs(mat - dense_potential(cfg, GAUSSIAN_WELL_POTENTIAL)) <= bound)
 
     def test_manual_quadrature_oracle(self):
         # element-by-element sum with explicit complex nodes
@@ -272,12 +299,14 @@ class TestRotatedHamiltonian:
 
 
 class TestBandAssembly:
-    # S is built in V's memory: L * w, the complex copy of L.T that numpy's
-    # product makes, and V are the three operator-sized arrays alive at once
-    # (quad_size = N). Formed densely, with |J| and a mirrored copy, the
-    # assembly peaked at 5.9.
+    # S is built in V's memory, and V's two real products run by row panels,
+    # so V is the one operator-sized array alive during assembly; the rest
+    # is two panel temporaries of PANEL_ROWS rows of reals (quad_size = N),
+    # 0.60 x 16N^2 at N = 150 and 0.38 at N = 200. One complex product,
+    # with numpy's complex copy of L.T, peaked at 3.02; formed densely, with
+    # |J| and a mirrored copy, the assembly peaked at 5.9.
     @pytest.mark.parametrize("n", [150, 200])
-    def test_peak_memory_is_three_operators(self, n):
+    def test_peak_memory_is_one_operator_and_two_panels(self, n):
         cfg = ChannelConfig(l=0, n_basis=n, scale=20.0, theta=0.7)
         gauss_rule(cfg.quad_size, cfg.nu)  # the cached rule every assembly shares
         tracemalloc.start()
@@ -286,7 +315,7 @@ class TestBandAssembly:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.1 * 16 * n * n
+        assert peak <= 1.75 * 16 * n * n
 
     def test_no_dense_j_is_formed(self, monkeypatch):
         if lapack._dstevd() is None:
