@@ -62,8 +62,12 @@ class ChannelConfig:
 
     @property
     def rotated_scale(self) -> complex:
-        """lambda' = lambda * exp(-i*theta), the single rotated scale."""
-        return self.scale * np.exp(-1j * self.theta)
+        """lambda' = lambda * exp(-i*theta), the single rotated scale. A theta
+        below eps moves lambda' by less than its rounding and is taken as 0:
+        at an exact pole its imaginary parts cancel to subnormal pivots, whose
+        LDL^T factors are not finite."""
+        theta = self.theta if self.theta >= np.finfo(float).eps else 0.0
+        return self.scale * np.exp(-1j * theta)
 
 
 @dataclass(frozen=True)

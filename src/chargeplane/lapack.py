@@ -38,7 +38,7 @@ class Factors(NamedTuple):
     """Bunch-Kaufman factors of a complex-symmetric matrix A, computed in the
     memory of the array that held A, so D lies on its diagonal. info > 0 marks
     an exactly zero 1 x 1 pivot of D, which `ldlt` has replaced by eps times
-    the largest |pivot|; ipiv > 0 marks a 1 x 1 pivot. solve(b) overwrites b,
+    D's largest |entry|; ipiv > 0 marks a 1 x 1 pivot. solve(b) overwrites b,
     a writable contiguous complex128 vector of the matrix's order, with
     A^-1 b."""
 
@@ -219,9 +219,11 @@ def ldlt(a: np.ndarray) -> Factors:
 
     Only one triangle is read, so a must be exactly symmetric. The solve
     reads the factors from a, so a write to a changes them. An exactly zero
-    1 x 1 pivot of D is still reported in info, but replaced by eps times the
-    largest |pivot|, so the solve of a matrix singular to working precision
-    returns its null direction, as inverse iteration does (LAPACK's xLAEIN).
+    1 x 1 pivot of D is still reported in info, but replaced by eps times
+    D's largest |entry|, so the solve of a matrix singular to working
+    precision returns its null direction, as inverse iteration does
+    (LAPACK's xLAEIN). That scale counts the off-diagonal entry of each
+    2 x 2 pivot block, whose diagonal may be all zeros.
     """
     n = len(a)
     if not (a.shape == (n, n) and a.dtype == np.complex128 and a.flags.c_contiguous
@@ -230,8 +232,13 @@ def ldlt(a: np.ndarray) -> Factors:
     factors = _backend().factor(a)
     if factors.info > 0:
         pivots = np.diagonal(a)
+        # ipiv < 0 at both rows of a 2 x 2 block, so every other such row is
+        # a block's first; LAPACK's upper triangle of a.T holds the block's
+        # off-diagonal entry in the row below it
+        first = np.flatnonzero(factors.ipiv < 0)[::2]
+        largest = np.abs(np.concatenate((pivots, a[first + 1, first]))).max()
         zero = np.flatnonzero((pivots == 0) & (factors.ipiv > 0))
-        a[zero, zero] = np.finfo(float).eps * np.abs(pivots).max()
+        a[zero, zero] = np.finfo(float).eps * largest
     return factors
 
 

@@ -108,24 +108,6 @@ def outside_exposure_window(energy: complex, theta: float) -> bool:
     return energy.real > 0 and energy.imag < 0 and abs(np.angle(energy)) >= 2 * theta
 
 
-def _ldlt_factor(mat: np.ndarray, at_iterate: bool = False) -> lapack.Factors:
-    """Bunch-Kaufman LDL^T factors of a complex-symmetric matrix, computed in
-    its own memory (`lapack.ldlt`).
-
-    Only one triangle is read, so mat must be exactly symmetric, as
-    RotatedHamiltonian.matrix returns it, and C-ordered.
-
-    An exactly singular mat raises EigensolverError, unless at_iterate: then
-    mat is M(E) - Z_t at a Rayleigh-quotient iterate E, a pole to working
-    precision, and the factors, whose zero pivots `lapack.ldlt` has
-    repaired, solve for the null direction.
-    """
-    factors = lapack.ldlt(mat)
-    if factors.info > 0 and not at_iterate:
-        raise EigensolverError(f"exactly singular matrix at order {len(mat)}")
-    return factors
-
-
 def _norm(x: np.ndarray) -> float:
     """np.linalg.norm of a complex vector, bit for bit, without its argument
     handling, which costs as much as the sums at refinement's orders."""
@@ -135,7 +117,7 @@ def _norm(x: np.ndarray) -> float:
 
 def _ldlt_solve(factors: lapack.Factors, rhs: np.ndarray) -> np.ndarray:
     """rhs, a writable complex vector, overwritten with the unit-norm solution
-    of one system, given _ldlt_factor's factors."""
+    of one system, given `lapack.ldlt`'s factors."""
     factors.solve(rhs)
     norm = _norm(rhs)
     if not math.isfinite(norm):
@@ -166,16 +148,18 @@ def refine_resonance(
     no factorization, and the first solves select the branch whose Z is
     nearest Z_t at the guess. `iterations` counts the solves.
 
-    LDL^T (Bunch-Kaufman, `_ldlt_factor`) reads one triangle, so
-    `ham.matrix` must be exactly symmetric. A step also costs a dense
+    LDL^T (Bunch-Kaufman, `lapack.ldlt`) reads one triangle, so
+    `ham.matrix` must be exactly symmetric. Every M(E) - Z_t, at the guess
+    as at an iterate, is factored the same way: an exactly zero pivot means
+    E is a pole to working precision, and `lapack.ldlt` repairs it, so the
+    next solve returns the null vector. A step also costs a dense
     product S x and the O(N) band product D x, which give both the quotient
     and the residual (M(E) - Z_t) x = (S x - Z_t x) + E D x. The iteration
     stops when that backward error is at most RESIDUAL_TOL; after MAX_ITER
     steps without that, non-convergence is reported in-band
-    (converged = False). Raises EigensolverError on a non-finite guess, an
-    exactly singular M(guess) - Z_t, or a non-finite solve. `ham`, if given,
-    must assemble (cfg, model); without it the operator is
-    shared_hamiltonian(cfg, model).
+    (converged = False). Raises EigensolverError on a non-finite guess or
+    target charge, or a non-finite solve. `ham`, if given, must assemble
+    (cfg, model); without it the operator is shared_hamiltonian(cfg, model).
     """
     if not np.isfinite(guess):
         raise EigensolverError(f"non-finite energy guess {guess}")
@@ -188,7 +172,7 @@ def refine_resonance(
     # With an N x N temporary per step or per refinement, glibc returned it
     # on free and page-faulted it in again (280-440 faults at N = 200).
     mat = ham.matrix(guess, z_target)
-    factors = _ldlt_factor(mat)
+    factors = lapack.ldlt(mat)
     rhs, previous = np.ones(cfg.n_basis, dtype=complex), np.inf
     for iterations in range(1, MAX_ITER + 1):
         x = _ldlt_solve(factors, rhs)
@@ -199,7 +183,7 @@ def refine_resonance(
         if residual <= RESIDUAL_TOL or iterations == MAX_ITER:
             break
         if not residual < REFACTOR_RATIO * previous:  # true for a NaN error too
-            factors = _ldlt_factor(ham.matrix(energy, z_target, out=mat), at_iterate=True)
+            factors = lapack.ldlt(ham.matrix(energy, z_target, out=mat))
         previous = residual
     return Resonance(z_target, cfg.l, energy, residual <= RESIDUAL_TOL, iterations, residual)
 

@@ -226,6 +226,12 @@ class TestChannelConfig:
         assert cfg.quad_size == 10
         assert cfg.rotated_scale == pytest.approx(5.0 * np.exp(-0.3j))
 
+    def test_rotation_below_eps_is_none(self):
+        eps = np.finfo(float).eps
+        for theta in (5e-324, 1e-300, 1e-20, eps / 2):
+            assert ChannelConfig(n_basis=10, scale=5.0, theta=theta).rotated_scale == 5.0
+        assert ChannelConfig(n_basis=10, scale=5.0, theta=eps).rotated_scale.imag == -5.0 * eps
+
     @pytest.mark.parametrize(
         "kwargs",
         [

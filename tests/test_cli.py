@@ -327,6 +327,29 @@ class TestStability:
         assert len(gammas) == 3
         assert all(g == 0.0 and np.copysign(1.0, g) == 1.0 for g in gammas)
 
+    def test_pole_exact_at_a_grid_point_is_a_plateau(self, tmp_path):
+        # V = 0, l = 1, lambda = 1: E = -1/8 is the n = 2 state of Z = -1
+        # and the n = 4 state of Z = -2. At the grid point lambda = 1/2,
+        # which is 2 kappa of Z = -1's state, M(E) - Z_t is exactly singular
+        # at that pole, so its re-refinement starts at a pole exact to
+        # working precision
+        data = {
+            "potential": [],
+            "channel": {"l": 1, "n_basis": 60, "scale": 1.0, "theta": 0.0},
+            "scan": {"guess": {"re": -0.1255, "im": 0.0}, "z_targets": [-1.0, -2.0]},
+        }
+        cfg = _write_cfg(tmp_path, data)
+        out = tmp_path / "res"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        recs = json.loads((out / "resonances.json").read_text())
+        assert [rec["z_target"] for rec in recs] == [-2.0, -1.0]
+        for rec in recs:
+            assert rec["converged"] is True and rec["e_r"] == pytest.approx(-0.125, abs=1e-12)
+            report = rec["stability"]
+            assert report["plateau"] is True
+            assert len(report["grid"]) == 6  # 3 lambdas x theta in {0, 0.05}
+            assert all(point["converged"] for point in report["grid"])
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):

@@ -79,16 +79,29 @@ class TestLDLT:
         assert np.linalg.norm(a @ x - 1) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x)
 
     def test_exactly_zero_pivot_is_reported(self, backend):
-        a = np.diag([1.0, 0.0, 2.0]).astype(complex)
-        factors = lapack.ldlt(a)
-        assert factors.info == 2  # LAPACK counts from 1
-        assert factors.ipiv[1] > 0  # a 1 x 1 pivot
-        # repaired to eps times the largest pivot, so the solve returns the
-        # null direction
-        assert a[1, 1] == 2 * np.finfo(float).eps
-        x = np.ones(3, dtype=complex)
-        factors.solve(x)
-        assert np.argmax(np.abs(x)) == 1
+        # (matrix, info, D's largest |entry|, null direction). Bunch-Kaufman
+        # on the upper triangle starts at the last column: in the second
+        # matrix a zero (3, 3) entry against the larger (2, 3) one makes rows
+        # 2-3 a 2 x 2 pivot, whose Schur complement 1/2 - 2 (1/2)(1/2) is an
+        # exactly zero pivot, and D's diagonal is all zeros.
+        cases = [
+            (np.diag([1.0, 0.0, 2.0]), 2, 2.0, [0.0, 1.0, 0.0]),
+            ([[0.5, 0.5, 0.5], [0.5, 0.0, 1.0], [0.5, 1.0, 0.0]], 1, 1.0,
+             np.array([2.0, -1.0, -1.0]) / np.sqrt(6)),
+        ]
+        eps = np.finfo(float).eps
+        for mat, info, largest, null in cases:
+            a = np.array(mat, dtype=complex)
+            factors = lapack.ldlt(a)
+            assert factors.info == info  # LAPACK counts from 1
+            k = info - 1
+            assert factors.ipiv[k] > 0  # a 1 x 1 pivot
+            # repaired to eps times D's largest entry, so the solve returns
+            # the null direction
+            assert a[k, k] == largest * eps
+            x = np.array([1.0, 1.0, 0.0], dtype=complex)
+            factors.solve(x)
+            assert np.abs(x / np.linalg.norm(x) - null).max() <= 4 * eps
 
     @pytest.mark.parametrize(
         "bad",

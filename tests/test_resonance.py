@@ -274,14 +274,18 @@ def dense_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
     static = ham.matrix(0.0)
     work, _ = zsytrf_lwork(cfg.n_basis)
 
-    def factor(mat, at_iterate=False):
+    def factor(mat):
         ldu, ipiv, info = zsytrf(mat, lwork=int(work.real))
-        if info > 0 and not at_iterate:
-            raise EigensolverError(f"exactly singular matrix at order {len(mat)}")
-        pivots = np.diag(ldu)
+        # D: its 1 x 1 pivots, and each 2 x 2 block (ipiv < 0 at both rows)
+        # with its off-diagonal entry in the upper triangle
+        d, k = np.zeros_like(ldu), 0
+        while k < len(mat):
+            step = 1 if ipiv[k] > 0 else 2
+            d[k:k + step, k:k + step] = np.triu(ldu[k:k + step, k:k + step])
+            k += step
         for k in range(len(mat)):
-            if pivots[k] == 0 and ipiv[k] > 0:
-                ldu[k, k] = np.finfo(float).eps * np.abs(pivots).max()
+            if d[k, k] == 0 and ipiv[k] > 0:  # an exactly zero pivot, info > 0
+                ldu[k, k] = np.finfo(float).eps * np.abs(d).max()
         return ldu, ipiv
 
     def solve(factors, rhs):
@@ -303,7 +307,7 @@ def dense_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
         if residual <= RESIDUAL_TOL:
             return Resonance(z_target, cfg.l, energy, True, iterations, residual)
         if not residual < REFACTOR_RATIO * previous:
-            factors = factor(mat, at_iterate=True)
+            factors = factor(mat)
         previous = residual
     return Resonance(z_target, cfg.l, energy, False, MAX_ITER, residual)
 
@@ -344,7 +348,7 @@ def lu_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
 # rule changes what a refinement costs, not the pole it finds.
 def rqi_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
     mat = ham.matrix(guess, z_target)
-    factors = resonance._ldlt_factor(mat)
+    factors = lapack.ldlt(mat)
     x = np.ones(cfg.n_basis, dtype=complex)
     for _ in range(3):
         x = resonance._ldlt_solve(factors, x)
@@ -356,33 +360,40 @@ def rqi_refine_resonance(guess, z_target, cfg, model, ham) -> Resonance:
         if residual <= RESIDUAL_TOL or iterations == MAX_ITER:
             break
         mat = ham.matrix(energy, z_target, out=mat)
-        x = resonance._ldlt_solve(resonance._ldlt_factor(mat, at_iterate=True), dx)
+        x = resonance._ldlt_solve(lapack.ldlt(mat), dx)
     return Resonance(z_target, cfg.l, energy, residual <= RESIDUAL_TOL, iterations, residual)
 
 
 def _record_factorizations(monkeypatch) -> list:
-    """(at_iterate, pivot diagonal) of every later _ldlt_factor call; the
-    factors lie in the factored matrix's own memory."""
+    """The pivot diagonal of every later lapack.ldlt call; the factors lie in
+    the factored matrix's own memory."""
     factored = []
-    original = resonance._ldlt_factor
+    original = lapack.ldlt
 
-    def recording(mat, at_iterate=False):
-        factors = original(mat, at_iterate)
-        factored.append((at_iterate, np.diagonal(mat).copy()))
+    def recording(mat):
+        factors = original(mat)
+        factored.append(np.diagonal(mat).copy())
         return factors
 
-    monkeypatch.setattr(resonance, "_ldlt_factor", recording)
+    monkeypatch.setattr(lapack, "ldlt", recording)
     return factored
 
 
-class _SingularOperator:
-    """An operator whose M(E) - Z_t is a fixed, exactly singular matrix."""
+class _PoleAtGuess:
+    """S a fixed matrix whose LDL^T meets an exactly zero pivot, and D = I,
+    so E = 0 is a pole of Z_t = 0 to the last bit: M(0) - Z_t is S itself."""
 
-    def __init__(self, mat):
-        self.mat = np.asarray(mat, dtype=complex)
+    def __init__(self, static):
+        self.static = np.asarray(static, dtype=complex)
 
-    def matrix(self, energy, z=0.0):
-        return self.mat.copy()
+    def matrix(self, energy, z=0.0, out=None):
+        return self.static + (energy - z) * np.eye(len(self.static))
+
+    def apply_static(self, x):
+        return self.static @ x
+
+    def apply_derivative(self, x):
+        return x.copy()
 
 
 class _PoleAtIterate:
@@ -408,10 +419,14 @@ class _PoleAtIterate:
         return x.copy()
 
 
+EPS = np.finfo(float).eps
+
 # Bunch-Kaufman on the upper triangle starts at the last column: a zero
 # (3, 3) entry against the larger (2, 3) one makes rows 2-3 a 2 x 2 pivot,
-# whose Schur complement 1/2 - 2 (1/2)(1/2) leaves an exactly zero pivot.
-TWO_BY_TWO_SINGULAR = [[0.5, 0.5, 0.5], [0.5, 0.0, 1.0], [0.5, 1.0, 0.0]]
+# whose Schur complement 1/8 - 2 (1/4)(1/4) leaves an exactly zero pivot.
+# D's diagonal is then all zeros. The null vector (4, -1, -1) is not
+# orthogonal to the ones vector, refinement's first right-hand side.
+TWO_BY_TWO_SINGULAR = [[0.125, 0.25, 0.25], [0.25, 0.0, 1.0], [0.25, 1.0, 0.0]]
 
 
 _DRAWS = dict(
@@ -442,12 +457,7 @@ class TestLeanStep:
     @given(**_DRAWS)
     def test_matches_the_dense_loop(self, l, n, scale, theta, z_target, pick, rel):
         cfg, ham, guess = _drawn_guess(l, n, scale, theta, z_target, pick, rel)
-        try:
-            dense = dense_refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
-        except EigensolverError:
-            with pytest.raises(EigensolverError):
-                refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
-            return
+        dense = dense_refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
         lean = refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
         assert lean.energy == dense.energy
         assert lean.iterations == dense.iterations
@@ -493,12 +503,37 @@ class TestLeanStep:
         x = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0**exponent
         assert resonance._norm(x) == np.linalg.norm(x)
 
-    def test_singular_matrix_raises_without_warnings(self):
+    # A converged pole is a guess that is already a pole. Over 16,000
+    # scratch draws of these ranges (numpy RNG), every re-refinement
+    # converged, all but 15 at the first solve; the shift reached 3.1e-12 of
+    # max(1, |E|) once and exceeded 1e-12 twice. Each end stops anywhere
+    # within RESIDUAL_TOL of backward error, so the shift follows the pole's
+    # conditioning, and the bound keeps a margin over that tail.
+    @settings(max_examples=60, deadline=None)
+    @given(**_DRAWS)
+    def test_converged_pole_converges_again(self, l, n, scale, theta, z_target, pick, rel):
+        cfg, ham, guess = _drawn_guess(l, n, scale, theta, z_target, pick, rel)
+        pole = refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL, ham)
+        assume(pole.converged)
+        again = refine_resonance(pole.energy, z_target, cfg, R2_EXP_POTENTIAL, ham)
+        assert again.converged
+        assert abs(again.energy - pole.energy) <= 1e-11 * max(1.0, abs(pole.energy))
+
+    # The zero pivot is replaced by eps times D's largest entry: the pivot 2
+    # of diag(1, 0, 2), and the off-diagonal 1 of the 2 x 2 block.
+    @pytest.mark.parametrize(
+        "static, repaired",
+        [(np.diag([1.0, 0.0, 2.0]), [1.0, 2 * EPS, 2.0]), (TWO_BY_TWO_SINGULAR, [EPS, 0.0, 0.0])],
+        ids=["one-by-one", "two-by-two"],
+    )
+    def test_exact_pole_at_guess_converges_at_first_solve(self, monkeypatch, static, repaired):
+        factored = _record_factorizations(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EigensolverError, match="singular"):
-                refine_resonance(1.0, 0.0, _cfg(n=3), EMPTY,
-                                 ham=_SingularOperator(np.diag([1.0, 0.0, 2.0])))
+            res = refine_resonance(0.0, 0.0, _cfg(n=3), EMPTY, ham=_PoleAtGuess(static))
+        assert res.converged and res.iterations == 1
+        assert abs(res.energy) <= 1e-15
+        assert len(factored) == 1 and list(factored[0]) == repaired
 
     def test_exactly_singular_iterate_converges_without_warnings(self, monkeypatch):
         factored = _record_factorizations(monkeypatch)
@@ -509,18 +544,7 @@ class TestLeanStep:
         assert abs(res.energy) <= 1e-15
         # the refactor at the iterate met the exact zero pivot of diag(0, 1, 2)
         # and replaced it by eps times the largest pivot, 2
-        assert [at_iterate for at_iterate, _ in factored] == [False, True]
-        assert factored[1][1][0] == 2 * np.finfo(float).eps
-
-    def test_singular_after_a_two_by_two_pivot_raises_without_warnings(self):
-        _, ipiv, info = zsytrf(np.array(TWO_BY_TWO_SINGULAR, dtype=complex))
-        assert info == 1
-        assert list(ipiv[1:]) == [-2, -2]  # rows 2-3 form one 2 x 2 block
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(EigensolverError, match="singular"):
-                refine_resonance(1.0, 0.0, _cfg(n=3), EMPTY,
-                                 ham=_SingularOperator(TWO_BY_TWO_SINGULAR))
+        assert len(factored) == 2 and factored[1][0] == 2 * EPS
 
 
 def _table1_poles():
@@ -551,7 +575,7 @@ class TestFactorizationCount:
         with lapack.one_thread():
             rows = run_table("table1") + run_table("table2_spot")
         assert len(rows) == 24 and all(r.ok for r in rows)
-        assert [at_iterate for at_iterate, _ in factored] == [False] * 24
+        assert len(factored) == 24  # each row factors at its guess at least
 
     def test_scan_pass_refactors_less_than_every_step(self, monkeypatch):
         # the benchmark's scan configuration; refactoring at every step, as
