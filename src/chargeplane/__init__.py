@@ -19,6 +19,7 @@ from .resonance import (
     auto_search,
     poles,
     refine_resonance,
+    stability_reports,
     stability_scan,
 )
 from .trajectory import EnergyGrid, Trajectory, match_step, sweep
@@ -54,6 +55,7 @@ __all__ = [
     "poles",
     "potential_matrix",
     "refine_resonance",
+    "stability_reports",
     "stability_scan",
     "sweep",
 ]

@@ -5,11 +5,14 @@ come from the YAML config (--config); flags cover only the output path and
 plot emission (--svg, on sweep only). scan lists the poles of each target
 charge from one eigensolve (`resonance.poles`: the pencil (S - Z_t, -D),
 reduced by the bidiagonal Cholesky factor of D's real J matrix to one
-complex-symmetric standard problem) and refines and stability-checks them;
-sweep traces the charge trajectories that picture them. `main` runs
-every command with BLAS at one thread (`lapack.one_thread`), so outputs do
-not depend on the host's BLAS threading. Exit codes: 0 success, 1 physics
-tolerance failure, 2 configuration error, 3 solver failure.
+complex-symmetric standard problem) and refines and stability-checks them
+over the default grid (`resonance.stability_reports`), whatever the
+`stability` section says; stability checks over that section's grid, each
+omitted list taking its default. sweep traces the charge trajectories that
+picture them. `main` runs every command with BLAS at one thread
+(`lapack.one_thread`), so outputs do not depend on the host's BLAS
+threading. Exit codes: 0 success, 1 physics tolerance failure, 2
+configuration error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ from .output import (
 )
 from .reference import PRINT_DECIMALS, format_table, run_table
 from .resonance import (
-    _default_stability_grid,
-    _stability_reports,
     auto_search,
     outside_exposure_window,
     refine_resonance,
     shared_hamiltonian,
+    stability_reports,
 )
 from .trajectory import sweep
 
@@ -128,11 +130,10 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 def cmd_stability(cfg: RunConfig, args) -> int:
     results = _refine_targets(cfg)
-    st, ch = cfg.stability, cfg.channel
-    given = (st.lambda_values, st.theta_values, st.n_values)
-    lams, thetas, ns = (v or d for v, d in zip(given, _default_stability_grid(ch)))
+    st = cfg.stability
+    grid = (st.lambda_values, st.theta_values, st.n_values)
     found = [res for res in results if res.converged]
-    reports = iter(_stability_reports(found, lams, thetas, ns, ch, cfg.potential, st.tolerance))
+    reports = iter(stability_reports(found, cfg.channel, cfg.potential, *grid, st.tolerance))
     results = [
         dataclasses.replace(res, stability=next(reports)) if res.converged else res
         for res in results

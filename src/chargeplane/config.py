@@ -15,12 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
-import yaml
-
 from .basis import MAX_ORDER, ChannelConfig
 from .errors import ChargePlaneError, ConfigError
 from .potential import PotentialModel, PotentialTerm
-from .resonance import DEFAULT_IM_SCHEDULE
+from .resonance import DEFAULT_IM_SCHEDULE, STABILITY_TOL
 from .trajectory import EnergyGrid
 
 
@@ -83,12 +81,13 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class StabilityConfig:
-    """Parameter grids for stability verification."""
+    """Parameter grids for stability verification; an empty list takes its
+    default in `resonance.stability_reports`."""
 
     lambda_values: tuple[float, ...] = ()
     theta_values: tuple[float, ...] = ()
     n_values: tuple[int, ...] = ()
-    tolerance: float = 1e-8
+    tolerance: float = STABILITY_TOL
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,10 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Parse a YAML config file."""
+    """Parse a YAML config file. PyYAML is imported here, so importing the
+    package does not load it."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

@@ -14,14 +14,18 @@ two real products over its upper triangle, since the rule's vectors are
 real and only the weights are complex. Rotation enters only through the
 single complex scale lambda'; there is no coordinate-space rotation code
 path. The eigenvalues of M(E) are the poles {Z_n} of the finite Green's
-function.
+function. The energies at which one of them equals a target charge Z_t are
+the eigenvalues of the pencil (S - Z_t, -D); J's bidiagonal Cholesky factor
+L reduces it to the standard problem L^-1 (S - Z_t) L^-T, formed here too
+(`RotatedHamiltonian.reduced`), so only this module and `basis` know J's
+bands and its factor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basis import ChannelConfig, QuadratureRule, gauss_rule, j_matrix_bands
+from .basis import ChannelConfig, QuadratureRule, gauss_rule, j_factor_bands, j_matrix_bands
 from .errors import ConfigError, EigensolverError
 from .potential import PotentialModel, eval_potential
 
@@ -81,7 +85,9 @@ class RotatedHamiltonian:
     process. matrix(E, z) costs one copy of S plus O(N) updates on D's
     bands, into a fresh array or one the caller passes, and is exactly
     symmetric. apply_static(x) and apply_derivative(x) are S x and D x from
-    the stored S and bands, with no operator-sized temporary.
+    the stored S and bands, with no operator-sized temporary. reduced(z) is
+    the pencil (S - z, -D) reduced by J's Cholesky factor to one
+    complex-symmetric matrix, whose eigenvalues are -E / lambda'.
     """
 
     def __init__(self, cfg: ChannelConfig, model: PotentialModel):
@@ -137,3 +143,21 @@ class RotatedHamiltonian:
         dx[:-1] += self._d_off * x[1:]
         dx[1:] += self._d_off * x[:-1]
         return dx
+
+    def reduced(self, z: float) -> np.ndarray:
+        """L^-1 (S - z) L^-T, a fresh array, with J = L L.T (`j_factor_bands`).
+
+        z is a charge of M(E) exactly when (S - z) x = -E D x has a nonzero
+        solution. D = J / lambda', and J is real, tridiagonal and positive
+        definite, so L is real and lower bidiagonal, and with y = L.T x that
+        pencil is the standard problem L^-1 (S - z) L^-T y = -(E / lambda') y.
+        The matrix is formed from M(0) - z by two bidiagonal forward
+        substitutions, on its rows and then on those of its transpose.
+        """
+        diag, sub = j_factor_bands(self.cfg.n_basis, self.cfg.nu)
+        reduced = self.matrix(0.0, z)
+        for _ in range(2):  # L^-1 (S - z), then L^-1 of its transpose
+            for i in range(len(diag)):  # sub[0] = 0, so row 0 is only scaled
+                reduced[i] = (reduced[i] + sub[i] * reduced[i - 1]) / diag[i]
+            reduced = reduced.T
+        return reduced

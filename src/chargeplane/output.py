@@ -14,6 +14,7 @@ import json
 import numpy as np
 
 SIG_DIGITS = 12
+SVG_WIDTH, SVG_HEIGHT = 800, 600  # pixels
 
 
 def fmt(x) -> str:
@@ -79,9 +80,9 @@ def resonances_to_json(resonances) -> str:
     return json.dumps(records, indent=2) + "\n"
 
 
-def trajectories_to_svg(trajectories, width: int = 800, height: int = 600) -> str:
-    """Standalone SVG: one polyline per branch, a real-axis rule, and tick
-    marks at integer Z."""
+def trajectories_to_svg(trajectories) -> str:
+    """Standalone SVG of SVG_WIDTH x SVG_HEIGHT pixels: one polyline per
+    branch, a real-axis rule, and tick marks at integer Z."""
     all_z = np.concatenate([t.z_values for t in trajectories])
     x_min, x_max = float(all_z.real.min()), float(all_z.real.max())
     y_min, y_max = float(all_z.imag.min()), float(all_z.imag.max())
@@ -93,22 +94,22 @@ def trajectories_to_svg(trajectories, width: int = 800, height: int = 600) -> st
     y_max += pad_y
 
     def px(x):
-        return (x - x_min) / (x_max - x_min) * width
+        return (x - x_min) / (x_max - x_min) * SVG_WIDTH
 
     def py(y):
-        return height - (y - y_min) / (y_max - y_min) * height
+        return SVG_HEIGHT - (y - y_min) / (y_max - y_min) * SVG_HEIGHT
 
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#e377c2", "#17becf")
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     if y_min < 0 < y_max:
         y0 = py(0.0)
         parts.append(
-            f'<line x1="0" y1="{y0:.2f}" x2="{width}" y2="{y0:.2f}" '
+            f'<line x1="0" y1="{y0:.2f}" x2="{SVG_WIDTH}" y2="{y0:.2f}" '
             'stroke="black" stroke-width="1"/>'
         )
         for z_tick in range(int(np.ceil(x_min)), int(np.floor(x_max)) + 1):

@@ -22,8 +22,9 @@ from .resonance import refine_resonance
 DEFAULT_CHANNEL = dict(n_basis=200, scale=20.0, theta=0.7, quad_size=200)
 
 # Absolute tolerance for the high-precision table; the spot table instead
-# uses 5 units in the last printed digit of each entry.
+# uses LAST_DIGIT_UNITS units in the last printed digit of each entry.
 TABLE1_TOLERANCE = 1e-7
+LAST_DIGIT_UNITS = 5.0
 
 # Computed values and their differences are printed at this many decimals,
 # a fixed absolute resolution. Between LU and LDL^T factorizations, BLAS at
@@ -45,10 +46,10 @@ def load_reference_rows(table: str) -> list[dict]:
     return data[table]
 
 
-def last_digit_tolerance(printed: str, units: float = 5.0) -> float:
-    """`units` times the place value of the last printed digit."""
+def last_digit_tolerance(printed: str) -> float:
+    """LAST_DIGIT_UNITS times the place value of the last printed digit."""
     exponent = Decimal(printed).as_tuple().exponent
-    return units * 10.0 ** exponent
+    return LAST_DIGIT_UNITS * 10.0 ** exponent
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,11 @@ parameters.
 A resonance at target charge Z is an energy E where an eigenvalue branch
 Z_n(E) of the rotated charge operator M(E) = S + E*D equals Z. Since M is
 affine in E, every such E is a generalized eigenvalue of the pencil
-(S - Z, -D). D = J / lambda' with J real, tridiagonal and positive definite,
-so the bidiagonal Cholesky factor L of J reduces the pencil to the standard
-complex-symmetric problem L^-1 (S - Z) L^-T, and one dense eigensolve of
-that lists them all (`poles`); each seeds a Newton iteration on E, and
-accepted poles must sit on a plateau under variations of (lambda, theta, N).
+(S - Z, -D), which the operator reduces to one standard complex-symmetric
+matrix (`RotatedHamiltonian.reduced`); one dense eigensolve of that lists
+them all (`poles`). Each seeds a Newton iteration on E, and accepted poles
+must sit on a plateau under variations of (lambda, theta, N), over the grid
+and tolerance that `stability_reports` defaults to when given none.
 Refinement refactors only when a solve fails to cut the backward error below
 REFACTOR_RATIO (0.3) times the last; `Resonance.iterations` counts solves.
 
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import lapack
-from .basis import ChannelConfig, j_factor_bands
+from .basis import ChannelConfig
 from .eigensolver import eigenvalues
 from .errors import ChargePlaneError, EigensolverError
 from .hamiltonian import RotatedHamiltonian
@@ -41,6 +41,7 @@ MAX_ITER = 50
 REFACTOR_RATIO = 0.3
 DEDUP_TOL = 1e-6
 ASSEMBLY_CACHE_SIZE = 4
+STABILITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -191,27 +192,16 @@ def refine_resonance(
 def poles(ham: RotatedHamiltonian, z_target: float) -> np.ndarray:
     """Every energy E at which a charge of M(E) = S + E*D equals z_target.
 
-    Z_t is a charge of M(E) exactly when (S - Z_t) x = -E D x has a nonzero
-    solution, so these are the generalized eigenvalues of the pencil
-    (S - Z_t, -D), sorted by (Re, Im). No QZ is needed: D = J / lambda', and
-    the Laguerre J matrix is real, tridiagonal and positive definite, so
-    J = L L.T with L real and lower bidiagonal (`j_factor_bands`). With
-    y = L.T x the pencil becomes the standard problem
-    L^-1 (S - Z_t) L^-T y = -(E / lambda') y, one complex-symmetric matrix of
-    order N, formed by two bidiagonal forward substitutions; its
-    eigenvalues are all finite. Raises EigensolverError on a non-finite
-    z_target, or where `eigensolver.eigenvalues` fails on that matrix.
+    These are the generalized eigenvalues of the pencil (S - Z_t, -D),
+    sorted by (Re, Im). No QZ is needed: `ham.reduced(z_target)` is the
+    pencil reduced to one complex-symmetric matrix of order N, whose
+    eigenvalues are -E / lambda', all finite. Raises EigensolverError on a
+    non-finite z_target, or where `eigensolver.eigenvalues` fails on that
+    matrix.
     """
     if not np.isfinite(z_target):
         raise EigensolverError(f"non-finite target charge {z_target}")
-    n = ham.cfg.n_basis
-    diag, sub = j_factor_bands(n, ham.cfg.nu)
-    reduced = ham.matrix(0.0, z_target)
-    for _ in range(2):  # L^-1 (S - Z_t), then L^-1 of its transpose
-        for i in range(n):  # sub[0] = 0, so row 0 is only scaled
-            reduced[i] = (reduced[i] + sub[i] * reduced[i - 1]) / diag[i]
-        reduced = reduced.T
-    values = -ham.cfg.rotated_scale * eigenvalues(reduced)
+    values = -ham.cfg.rotated_scale * eigenvalues(ham.reduced(z_target))
     return values[np.lexsort((values.imag, values.real))]
 
 
@@ -233,21 +223,27 @@ def _refine_at_point(found, cfg: ChannelConfig, model: PotentialModel) -> list[t
     return outcomes
 
 
-def _stability_reports(
-    found, lambda_values, theta_values, n_values, cfg, model, tolerance
+def stability_reports(
+    found, cfg, model, lambda_values=(), theta_values=(), n_values=(), tolerance=STABILITY_TOL
 ) -> list[StabilityReport]:
-    """stability_scan of each resonance, with the grid loop outside.
+    """The StabilityReport of each resonance in `found` over one grid, with
+    one assembly per grid point shared by all of them.
 
-    Each resonance must be a converged pole of (cfg, model). The grid is
-    visited in StabilityReport's order. At the channel's own point the entry
-    is the pole itself, (lambda, theta, N, res.energy, res.converged): the
-    same operator and the same converged energy, so nothing is assembled or
-    refined there (an unconverged pole settles there, off the plateau).
-    Every later point is then compared with the pole, and an
-    artifact mostly settles at the next point. That point changes lambda
-    alone, which slides an artifact along its own ray of the rotated
-    continuum, so its refinement takes fewer iterations than at a point
-    that also rotates the ray by changing theta.
+    The grid is lambda_values x theta_values x n_values, and an empty list
+    takes its default: lambda/2, lambda and 2 lambda; theta - 0.05, theta
+    and theta + 0.05, each kept only inside [0, pi/2); and the channel's N.
+    So with no lists the grid is the 3 x 3 (lambda, theta) grid around cfg
+    that `auto_search` checks. Each resonance must be a converged pole of
+    (cfg, model). The grid is visited in StabilityReport's order. At the
+    channel's own point the entry is the pole itself,
+    (lambda, theta, N, res.energy, res.converged): the same operator and
+    the same converged energy, so nothing is assembled or refined there (an
+    unconverged pole settles there, off the plateau). Every later point is
+    then compared with the pole, and an artifact mostly settles at the
+    next point. That point changes lambda alone, which slides an artifact
+    along its own ray of the rotated continuum, so its refinement takes
+    fewer iterations than at a point that also rotates the ray by changing
+    theta.
 
     A resonance leaves the loop at the first grid point that settles its
     verdict: one whose refinement fails or does not converge, or whose
@@ -257,6 +253,10 @@ def _stability_reports(
     grid's in any order; only resonances still live are re-refined at later
     points.
     """
+    thetas = (cfg.theta - 0.05, cfg.theta, cfg.theta + 0.05)
+    lambda_values = tuple(lambda_values) or (cfg.scale / 2, cfg.scale, 2 * cfg.scale)
+    theta_values = tuple(theta_values) or tuple(t for t in thetas if 0 <= t < np.pi / 2)
+    n_values = tuple(n_values) or (cfg.n_basis,)
     grid = list(itertools.product(lambda_values, theta_values, n_values))
     own = (cfg.scale, cfg.theta, cfg.n_basis)
     if own in grid:
@@ -294,35 +294,22 @@ def stability_scan(
     n_values,
     cfg: ChannelConfig,
     model: PotentialModel,
-    tolerance: float = 1e-8,
+    tolerance: float = STABILITY_TOL,
 ) -> StabilityReport:
     """Re-refine a resonance over a (lambda, theta, N) grid.
 
     `res` must be a converged pole of (cfg, model): at the channel's own
-    grid point it stands for itself, unrefined. The plateau flag requires
-    a grid of at least 2 points, every point to converge and the maximum
-    pairwise |dE| to stay within tolerance. The scan stops at the first
-    point that rules a plateau out, so a non-plateau report lists only the
-    points visited up to that one (see StabilityReport for the visiting
-    order).
+    grid point it stands for itself, unrefined. An empty list takes its
+    default, as in `stability_reports`. The plateau flag requires a grid of
+    at least 2 points, every point to converge and the maximum pairwise |dE|
+    to stay within tolerance. The scan stops at the first point that rules
+    a plateau out, so a non-plateau report lists only the points visited up
+    to that one (see StabilityReport for the visiting order).
     """
-    (report,) = _stability_reports(
-        [res], lambda_values, theta_values, n_values, cfg, model, tolerance
-    )
-    return report
+    return stability_reports([res], cfg, model, lambda_values, theta_values, n_values, tolerance)[0]
 
 
 DEFAULT_IM_SCHEDULE = (-0.025, -0.1, -0.4, -1.6, -3.2, -6.4, -12.8, -25.6)
-
-
-def _default_stability_grid(cfg: ChannelConfig):
-    """The (lambda, theta, N) values `scan` varies: lambda halved and doubled,
-    theta moved by 0.05 either way (kept inside [0, pi/2)), N as is."""
-    lams = (cfg.scale / 2, cfg.scale, 2 * cfg.scale)
-    thetas = tuple(
-        t for t in (cfg.theta - 0.05, cfg.theta, cfg.theta + 0.05) if 0 <= t < np.pi / 2
-    )
-    return lams, thetas, (cfg.n_basis,)
 
 
 def auto_search(
@@ -341,10 +328,11 @@ def auto_search(
     min(im_schedule) <= Im E < 0 (an empty schedule is an empty box),
     except those outside the exposure window; each is polished by
     refine_resonance. Candidates that fail to refine are dropped; nothing
-    here is fatal. With run_stability, each pole gets the stability_scan
-    report of the 3 x 3 (lambda, theta) grid around cfg, all poles sharing
-    one assembly per grid point except cfg's own, where each pole is its
-    own entry; a pole leaves the grid at the point that settles its
+    here is fatal. With run_stability, each pole gets its stability_reports
+    report over the default grid, the 3 x 3 (lambda, theta) grid around
+    cfg, at the default tolerance STABILITY_TOL: all poles share one
+    assembly per grid point except cfg's own, where each pole is its own
+    entry, and a pole leaves the grid at the point that settles its
     verdict, for an artifact mostly the first (lambda, cfg.theta) point
     after its own. `steps` and `window` have no effect; they are kept
     because configs and the benchmark's workloads pass them. Output is
@@ -381,8 +369,7 @@ def auto_search(
             if not dup:
                 found.append(res)
     if run_stability and found:
-        lams, thetas, ns = _default_stability_grid(cfg)
-        reports = _stability_reports(found, lams, thetas, ns, cfg, model, tolerance=1e-8)
+        reports = stability_reports(found, cfg, model)
         found = [replace(r, stability=report) for r, report in zip(found, reports)]
     found.sort(key=lambda r: (r.z_target, r.e_r))
     return found

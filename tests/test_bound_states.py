@@ -2,9 +2,10 @@
 real line are the hydrogenic bound states E_n = -Z^2 / (2 n^2), n >= l + 1.
 
 It checks the band writes of the assembly (the three bands of
--(lambda'/8)|J| in S and of D = J / lambda'), the Cholesky reduction in
-`poles` and refinement, at general (lambda, theta), against exact numbers
-rather than stored references. lambda is drawn around 2 kappa, with
+-(lambda'/8)|J| in S and of D = J / lambda'), the Cholesky reduction of
+the pencil (`RotatedHamiltonian.reduced`, through `poles`) and
+refinement, at general (lambda, theta), against exact numbers rather than
+stored references. lambda is drawn around 2 kappa, with
 kappa = |Z| / (l + 1) the ground state's decay rate. The same exact numbers
 test the plateau verdict of `scan`'s default stability grid: a state the
 basis resolves is a plateau, and one it does not resolve is not, although
@@ -24,7 +25,6 @@ from chargeplane import (
     refine_resonance,
     stability_scan,
 )
-from chargeplane.resonance import _default_stability_grid
 
 FREE = PotentialModel()
 
@@ -95,9 +95,10 @@ def test_ground_state_is_a_plateau_at_two_kappa(l, charge, theta):
     cfg, (exact, *_) = _setup(l, charge, 2.0, theta)
     res = refine_resonance(exact * (1 + 1e-3), charge, cfg, FREE)
     assert res.converged
-    grid = _default_stability_grid(cfg)
-    assert theta in grid[1]  # theta = 0 keeps the channel's own point
-    assert stability_scan(res, *grid, cfg, FREE).plateau
+    report = stability_scan(res, (), (), (), cfg, FREE)  # the default grid
+    assert report.plateau
+    assert report.entries[0][:3] == (cfg.scale, theta, cfg.n_basis)  # theta = 0 keeps it
+    assert len(report.entries) == (6 if theta == 0.0 else 9)
 
 
 def test_unresolved_state_converges_off_it_and_is_no_plateau():
@@ -109,4 +110,4 @@ def test_unresolved_state_converges_off_it_and_is_no_plateau():
     res = refine_resonance(exact * (1 + 1e-3), -1.0, cfg, FREE)
     assert res.converged
     assert abs(res.energy - exact) > 1e-3
-    assert not stability_scan(res, *_default_stability_grid(cfg), cfg, FREE).plateau
+    assert not stability_scan(res, (), (), (), cfg, FREE).plateau

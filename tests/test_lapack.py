@@ -1,8 +1,8 @@
 """Tests for the LDL^T binding: numpy's own OpenBLAS and the scipy fallback
 give the same factors and solves, factors keep the library that made them,
 an exactly zero pivot is repaired, a process with neither library is a
-solver error, importing the package loads no scipy, and no other module of
-the package knows which library it has."""
+solver error, importing the package loads no scipy and no PyYAML, and no
+other module of the package knows which library it has."""
 
 import re
 import sys
@@ -156,23 +156,23 @@ def test_no_backend_is_a_solver_error(monkeypatch):
         lapack._backend.cache_clear()
 
 
-# Which scipy modules are loaded after importing the package and, unless
-# the binding fell back to scipy, after a refinement.
-_SCIPY_MODULES = """
+# Which scipy and PyYAML modules are loaded after importing the package
+# and, unless the binding fell back to scipy, after a refinement. Only
+# reading a config file imports yaml.
+_OPTIONAL_MODULES = """
 import sys
+def optional():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml"))
 import chargeplane, chargeplane.cli
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(optional())
 from chargeplane import R2_EXP_POTENTIAL, ChannelConfig, lapack, refine_resonance
 refine_resonance(3.4 - 0.01j, 0.0, ChannelConfig(l=0, n_basis=20, scale=20.0), R2_EXP_POTENTIAL)
-if isinstance(lapack._backend(), lapack._OpenBLAS):
-    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-else:
-    print([])
+print(optional() if isinstance(lapack._backend(), lapack._OpenBLAS) else [])
 """
 
 
 def test_the_package_runs_without_scipy(fresh_python):
-    assert fresh_python(_SCIPY_MODULES).splitlines() == ["[]", "[]"]
+    assert fresh_python(_OPTIONAL_MODULES).splitlines() == ["[]", "[]"]
 
 
 # What only the binding may know of the library: ctypes, the libraries' and

@@ -34,6 +34,7 @@ from chargeplane.resonance import (
     poles,
     refine_resonance,
     shared_hamiltonian,
+    stability_reports,
     stability_scan,
 )
 from chargeplane.trajectory import EnergyGrid, Trajectory, sweep
@@ -844,6 +845,45 @@ class TestStabilityScan:
         assert not report.plateau
         assert report.entries == ((20.0, 0.7, 60, res.energy, False),)
 
+    def test_empty_list_takes_its_default(self):
+        cfg = _cfg(n=60)
+        res = refine_resonance(3.4264 - 0.0128j, 0.0, cfg, R2_EXP_POTENTIAL)
+        written = stability_scan(res, [10.0, 20.0, 40.0], [0.7], [60], cfg, R2_EXP_POTENTIAL)
+        assert written.plateau
+        assert stability_scan(res, [], [0.7], (), cfg, R2_EXP_POTENTIAL) == written
+
+    # Any subset of the lists left empty: each empty list is the default
+    # grid's, written out here. theta = 0.03 loses theta - 0.05 and
+    # theta = 1.54 loses theta + 0.05, both outside [0, pi/2).
+    @settings(max_examples=20, deadline=None)
+    @given(
+        l=st.integers(0, 2),
+        n=st.integers(20, 40),
+        scale=st.sampled_from([15.0, 20.0]),
+        theta=st.sampled_from([0.0, 0.03, 0.7, 1.54]),
+        z_target=st.sampled_from([-1.0, 0.0]),
+        model=st.sampled_from([R2_EXP_POTENTIAL, EMPTY]),
+        empty=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        lams=st.lists(st.sampled_from([10.0, 15.0, 30.0]), min_size=1, max_size=2, unique=True),
+        thetas=st.lists(st.sampled_from([0.0, 0.4, 0.7]), min_size=1, max_size=2, unique=True),
+        n_offsets=st.lists(st.sampled_from([0, -5, 5]), min_size=1, max_size=2, unique=True),
+    )
+    def test_empty_lists_are_their_defaults_written_out(
+        self, l, n, scale, theta, z_target, model, empty, lams, thetas, n_offsets
+    ):
+        cfg = ChannelConfig(l=l, n_basis=n, scale=scale, theta=theta, quad_size=n)
+        found = _nearest_converged_poles(cfg, model, z_target)
+        defaults = (
+            [scale / 2, scale, 2 * scale],
+            [t for t in (theta - 0.05, theta, theta + 0.05) if 0 <= t < np.pi / 2],
+            [n],
+        )
+        drawn = (lams, thetas, [n + k for k in n_offsets])
+        left_empty = [[] if e else v for e, v in zip(empty, drawn)]
+        written = [d if e else v for e, d, v in zip(empty, defaults, drawn)]
+        reports = stability_reports(found, cfg, model, *left_empty)
+        assert reports == stability_reports(found, cfg, model, *written, 1e-8)
+
     # Small grids over both potentials; theta = 0.05 under-rotates most
     # poles, so draws mix plateau poles with ones that settle early.
     @settings(max_examples=25, deadline=None)
@@ -860,7 +900,7 @@ class TestStabilityScan:
         cfg = _cfg(l=l, n=n)
         found = _nearest_converged_poles(cfg, model, z_target)
         grid = (lams, thetas, [n + k for k in n_offsets])
-        reports = resonance._stability_reports(found, *grid, cfg, model, 1e-8)
+        reports = stability_reports(found, cfg, model, *grid, 1e-8)
         oracle = full_grid_stability_reports(found, *grid, cfg, model, 1e-8)
         for report, full in zip(reports, oracle, strict=True):
             assert report.plateau == full.plateau
@@ -890,8 +930,8 @@ class TestStabilityScan:
         found = _nearest_converged_poles(cfg, model, z_target)
         grid = (lams, thetas, [n + k for k in n_offsets])
         permuted = [data.draw(st.permutations(values)) for values in grid]
-        reports = resonance._stability_reports(found, *grid, cfg, model, 1e-8)
-        again = resonance._stability_reports(found, *permuted, cfg, model, 1e-8)
+        reports = stability_reports(found, cfg, model, *grid, 1e-8)
+        again = stability_reports(found, cfg, model, *permuted, 1e-8)
         for report, other in zip(reports, again, strict=True):
             assert report.plateau == other.plateau
             if report.plateau:
@@ -962,7 +1002,7 @@ class TestAutoSearch:
         cfg = _cfg(n=60)
         found = auto_search(cfg, R2_EXP_POTENTIAL, [0.0, 1.0])
         assert len(found) >= 2
-        grid = resonance._default_stability_grid(cfg)
+        grid = ((10.0, 20.0, 40.0), (0.7 - 0.05, 0.7, 0.7 + 0.05), (60,))  # the default
         points = visiting_order(*grid, cfg)
         assert sorted(points) == sorted(itertools.product(*grid))
         assert len(points) == 9
@@ -992,7 +1032,7 @@ class TestAutoSearch:
         own = (cfg.scale, cfg.theta, cfg.n_basis)
         built, refined, phase = [], [], []
         original_refine = resonance.refine_resonance
-        original_reports = resonance._stability_reports
+        original_reports = resonance.stability_reports
 
         def counting_assembly(point_cfg, model):
             built.append(((point_cfg.scale, point_cfg.theta, point_cfg.n_basis), list(phase)))
@@ -1008,7 +1048,7 @@ class TestAutoSearch:
 
         monkeypatch.setattr(resonance, "RotatedHamiltonian", counting_assembly)
         monkeypatch.setattr(resonance, "refine_resonance", counting_refine)
-        monkeypatch.setattr(resonance, "_stability_reports", stability_phase)
+        monkeypatch.setattr(resonance, "stability_reports", stability_phase)
         found = auto_search(cfg, R2_EXP_POTENTIAL, [0.0, 1.0])
         assert len(found) >= 2 and phase == ["stability"]
         for r in found:
