@@ -161,12 +161,12 @@ def cmd_table(cfg: RunConfig, args) -> int:
 
 
 _COMMANDS = {
-    "eigs": cmd_eigs,
-    "sweep": cmd_sweep,
-    "find": cmd_find,
-    "scan": cmd_scan,
-    "stability": cmd_stability,
-    "table": cmd_table,
+    "eigs": (cmd_eigs, "eigenvalue listing at a single energy"),
+    "sweep": (cmd_sweep, "trajectory CSV (and optional SVG) over an energy grid"),
+    "find": (cmd_find, "refine a resonance from a guess"),
+    "scan": (cmd_scan, "refine and stability-check every pole in the scan box"),
+    "stability": (cmd_stability, "refine then verify a stability plateau"),
+    "table": (cmd_table, "reproduce the built-in benchmark tables"),
 }
 
 
@@ -177,14 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trajectories in the complex charge plane.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("eigs", "eigenvalue listing at a single energy"),
-        ("sweep", "trajectory CSV (and optional SVG) over an energy grid"),
-        ("find", "refine a resonance from a guess"),
-        ("scan", "refine and stability-check every pole in the scan box"),
-        ("stability", "refine then verify a stability plateau"),
-        ("table", "reproduce the built-in benchmark tables"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", default=None, help="output directory (default: stdout)")
@@ -203,7 +196,7 @@ def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -48,16 +48,17 @@ STABILITY_TOL = 1e-8
 class StabilityReport:
     """Re-refinement of one resonance over a (lambda, theta, N) grid.
 
-    Entries are in visiting order: when the grid holds the channel's own
-    point (cfg.scale, cfg.theta, cfg.n_basis), that point comes first with
-    the pole's own energy, then the other points at cfg.theta, then the
-    rest, each group in itertools.product order; any other grid is visited
-    in product order. A plateau report lists every grid point, and a grid
-    of fewer than 2 points gives no plateau: one point varies nothing. Any
-    other report lists the visited points up to and including the one that
-    settled its verdict: the first that failed to converge, or whose energy
-    lay more than the tolerance from an earlier converged one (a 1-point
-    grid's report lists its point).
+    The grid is the set of distinct (lambda, theta, N) points: a repeated
+    value is visited once. Entries are in visiting order: when the grid
+    holds the channel's own point (cfg.scale, cfg.theta, cfg.n_basis), that
+    point comes first with the pole's own energy, then the other points at
+    cfg.theta, then the rest, each group in itertools.product order; any
+    other grid is visited in product order. A plateau report lists every
+    grid point, and a grid of fewer than 2 points gives no plateau: one
+    point varies nothing. Any other report lists the visited points up to
+    and including the one that settled its verdict: the first that failed
+    to converge, or whose energy lay more than the tolerance from an
+    earlier converged one (a 1-point grid's report lists its point).
     max_deviation is the maximum pairwise |dE| over the converged points
     listed, None for fewer than 2 (nothing was compared). A non-plateau
     report's prefix, and so its max_deviation, depends on the order of the
@@ -229,8 +230,9 @@ def stability_reports(
     """The StabilityReport of each resonance in `found` over one grid, with
     one assembly per grid point shared by all of them.
 
-    The grid is lambda_values x theta_values x n_values, and an empty list
-    takes its default: lambda/2, lambda and 2 lambda; theta - 0.05, theta
+    The grid is the distinct points of lambda_values x theta_values x
+    n_values, so a repeated value is visited once, and an empty list takes
+    its default: lambda/2, lambda and 2 lambda; theta - 0.05, theta
     and theta + 0.05, each kept only inside [0, pi/2); and the channel's N.
     So with no lists the grid is the 3 x 3 (lambda, theta) grid around cfg
     that `auto_search` checks. Each resonance must be a converged pole of
@@ -251,13 +253,15 @@ def stability_reports(
     later point can restore a plateau after either, and every refinement
     starts from res.energy whatever the order, so the verdict is the full
     grid's in any order; only resonances still live are re-refined at later
-    points.
+    points. A resonance still live after the last point converged at every
+    point with every pairwise |dE| within tolerance, so it is on a plateau
+    when the grid has at least 2 points.
     """
     thetas = (cfg.theta - 0.05, cfg.theta, cfg.theta + 0.05)
     lambda_values = tuple(lambda_values) or (cfg.scale / 2, cfg.scale, 2 * cfg.scale)
     theta_values = tuple(theta_values) or tuple(t for t in thetas if 0 <= t < np.pi / 2)
     n_values = tuple(n_values) or (cfg.n_basis,)
-    grid = list(itertools.product(lambda_values, theta_values, n_values))
+    grid = list(dict.fromkeys(itertools.product(lambda_values, theta_values, n_values)))
     own = (cfg.scale, cfg.theta, cfg.n_basis)
     if own in grid:
         grid.sort(key=lambda point: (point != own, point[1] != cfg.theta))
@@ -278,12 +282,10 @@ def stability_reports(
             if not converged or np.any(np.abs(energy - earlier) > tolerance):
                 live.remove(i)
     reports = []
-    for rows in entries:
+    for i, rows in enumerate(entries):
         arr = np.array([energy for *_, energy, converged in rows if converged])
         max_dev = float(np.abs(arr[:, None] - arr).max()) if len(arr) > 1 else None
-        all_converged = all(converged for *_, converged in rows)
-        plateau = all_converged and len(rows) == len(grid) > 1 and max_dev <= tolerance
-        reports.append(StabilityReport(tuple(rows), max_dev, plateau))
+        reports.append(StabilityReport(tuple(rows), max_dev, i in live and len(grid) > 1))
     return reports
 
 
@@ -301,10 +303,11 @@ def stability_scan(
     `res` must be a converged pole of (cfg, model): at the channel's own
     grid point it stands for itself, unrefined. An empty list takes its
     default, as in `stability_reports`. The plateau flag requires a grid of
-    at least 2 points, every point to converge and the maximum pairwise |dE|
-    to stay within tolerance. The scan stops at the first point that rules
-    a plateau out, so a non-plateau report lists only the points visited up
-    to that one (see StabilityReport for the visiting order).
+    at least 2 distinct points, every point to converge and the maximum
+    pairwise |dE| to stay within tolerance. The scan stops at the first
+    point that rules a plateau out, so a non-plateau report lists only the
+    points visited up to that one (see StabilityReport for the visiting
+    order).
     """
     return stability_reports([res], cfg, model, lambda_values, theta_values, n_values, tolerance)[0]
 
@@ -320,7 +323,6 @@ def auto_search(
     re_range=(0.0, 10.0),
     steps: int = 101,
     window: float = 1.0,
-    run_stability: bool = True,
 ) -> list[Resonance]:
     """Refine every pole of each target charge in a box, de-duplicate.
 
@@ -328,15 +330,14 @@ def auto_search(
     min(im_schedule) <= Im E < 0 (an empty schedule is an empty box),
     except those outside the exposure window; each is polished by
     refine_resonance. Candidates that fail to refine are dropped; nothing
-    here is fatal. With run_stability, each pole gets its stability_reports
-    report over the default grid, the 3 x 3 (lambda, theta) grid around
-    cfg, at the default tolerance STABILITY_TOL: all poles share one
-    assembly per grid point except cfg's own, where each pole is its own
-    entry, and a pole leaves the grid at the point that settles its
-    verdict, for an artifact mostly the first (lambda, cfg.theta) point
-    after its own. `steps` and `window` have no effect; they are kept
-    because configs and the benchmark's workloads pass them. Output is
-    ordered by (z_target, E_r).
+    here is fatal. Each pole gets its stability_reports report over the
+    default grid, the 3 x 3 (lambda, theta) grid around cfg, at the default
+    tolerance STABILITY_TOL: all poles share one assembly per grid point
+    except cfg's own, where each pole is its own entry, and a pole leaves
+    the grid at the point that settles its verdict, for an artifact mostly
+    the first (lambda, cfg.theta) point after its own. `steps` and `window`
+    have no effect; they are kept because configs and the benchmark's
+    workloads pass them. Output is ordered by (z_target, E_r).
     """
     re_lo, re_hi = re_range
     if not np.all(np.isfinite([re_lo, re_hi, *im_schedule])):
@@ -368,8 +369,7 @@ def auto_search(
             )
             if not dup:
                 found.append(res)
-    if run_stability and found:
-        reports = stability_reports(found, cfg, model)
-        found = [replace(r, stability=report) for r, report in zip(found, reports)]
+    reports = stability_reports(found, cfg, model)
+    found = [replace(r, stability=report) for r, report in zip(found, reports)]
     found.sort(key=lambda r: (r.z_target, r.e_r))
     return found

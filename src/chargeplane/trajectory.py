@@ -48,12 +48,13 @@ class EnergyGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One continued eigenvalue branch: (E, Z) pairs over the grid."""
+    """One continued eigenvalue branch: the charge z_values[k] at each grid
+    energy energies[k], branch_id being its index in the first sample's
+    sorted order."""
 
     branch_id: int
     energies: np.ndarray = field(repr=False)
     z_values: np.ndarray = field(repr=False)
-    discontinuities: tuple[int, ...] = ()
 
 
 def match_step(prev, nxt):
@@ -101,41 +102,27 @@ def match_step(prev, nxt):
 
 
 def sweep(cfg: ChannelConfig, model: PotentialModel, grid: EnergyGrid) -> list[Trajectory]:
-    """Trace all N eigenvalue branches over the energy grid.
+    """Trace all N eigenvalue branches over the energy grid in one pass.
 
-    Branch ids follow the sorted eigenvalue order of the first sample. The
-    operator is `resonance.shared_hamiltonian(cfg, model)`, the assembly
-    every other command of the same (cfg, model) uses.
+    Branch ids follow the sorted eigenvalue order of the first sample. Each
+    sample is stitched as it is solved: `match_step` pairs the previous
+    sample, in its own sorted order, with this one, so ties go to the lower
+    index in the previous sample's sorted order, and only that sample is
+    held between steps. The operator is `resonance.shared_hamiltonian(cfg,
+    model)`, the assembly every other command of the same (cfg, model) uses.
     """
     ham = shared_hamiltonian(cfg, model)
     energies = grid.energies()
-    eigensets = []
-    for e in energies:
+    paths = np.empty((cfg.n_basis, len(energies)), dtype=complex)
+    current = np.arange(cfg.n_basis)  # branch b sits at index current[b] of the sample
+    previous = None
+    for step, e in enumerate(energies):
         try:
-            eigensets.append(eigenvalues(ham.matrix(e)))
+            values = eigenvalues(ham.matrix(e))
         except EigensolverError as exc:
             raise EigensolverError(f"eigensolve failed at E = {e}: {exc}") from exc
-
-    n = cfg.n_basis
-    paths = np.empty((n, len(energies)), dtype=complex)
-    paths[:, 0] = eigensets[0]
-    disc: dict[int, list[int]] = {b: [] for b in range(n)}
-    current = np.arange(n)  # branch b currently sits at index current[b]
-    for step in range(1, len(energies)):
-        perm, flagged = match_step(eigensets[step - 1], eigensets[step])
-        flagged_set = set(flagged)
-        for b in range(n):
-            if current[b] in flagged_set:
-                disc[b].append(step)
-        current = perm[current]
-        paths[:, step] = eigensets[step][current]
-
-    return [
-        Trajectory(
-            branch_id=b,
-            energies=energies,
-            z_values=paths[b],
-            discontinuities=tuple(disc[b]),
-        )
-        for b in range(n)
-    ]
+        if previous is not None:
+            current = match_step(previous, values)[0][current]
+        paths[:, step] = values[current]
+        previous = values
+    return [Trajectory(b, energies, paths[b]) for b in range(cfg.n_basis)]

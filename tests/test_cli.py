@@ -576,7 +576,7 @@ class TestBlasPin:
             seen.append([get() for get, _ in controls])
             return cli.EXIT_OK
 
-        monkeypatch.setitem(cli._COMMANDS, "eigs", recording)
+        monkeypatch.setitem(cli._COMMANDS, "eigs", (recording, cli._COMMANDS["eigs"][1]))
         try:
             for _, set_ in controls:
                 set_(2)

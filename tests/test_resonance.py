@@ -728,8 +728,9 @@ class TestPoleInvariance:
 def visiting_order(lambda_values, theta_values, n_values, cfg) -> list[tuple]:
     """The grid as a stability pass visits it: the channel's own point, then
     the other points at cfg.theta, then the rest, each in product order; a
-    grid without the own point in plain product order."""
-    points = list(itertools.product(lambda_values, theta_values, n_values))
+    grid without the own point in plain product order. A repeated value
+    gives one point."""
+    points = list(dict.fromkeys(itertools.product(lambda_values, theta_values, n_values)))
     own = (cfg.scale, cfg.theta, cfg.n_basis)
     if own not in points:
         return points
@@ -796,6 +797,20 @@ class TestStabilityScan:
         assert not report.plateau
         assert report.entries == ((20.0, 0.7, 120, res.energy, True),)
         assert report.max_deviation is None  # nothing was compared
+
+    def test_repeated_values_give_the_report_of_the_distinct_grid(self):
+        # a grid is a set of points: [20, 20] varies nothing, like [20]
+        cfg = _cfg(n=60)
+        res = refine_resonance(3.4264 - 0.0128j, 0.0, cfg, R2_EXP_POTENTIAL)
+        repeated = stability_scan(res, [20.0, 20.0], [0.7], [60], cfg, R2_EXP_POTENTIAL)
+        assert repeated == stability_scan(res, [20.0], [0.7], [60], cfg, R2_EXP_POTENTIAL)
+        assert not repeated.plateau
+        repeated = stability_scan(
+            res, [10.0, 20.0, 10.0], [0.7, 0.7], [60, 60], cfg, R2_EXP_POTENTIAL
+        )
+        distinct = stability_scan(res, [10.0, 20.0], [0.7], [60], cfg, R2_EXP_POTENTIAL)
+        assert repeated == distinct
+        assert distinct.plateau and len(distinct.entries) == 2
 
     def test_genuine_pole_survives_parameter_changes(self):
         cfg = _cfg(n=150)
@@ -885,16 +900,17 @@ class TestStabilityScan:
         assert reports == stability_reports(found, cfg, model, *written, 1e-8)
 
     # Small grids over both potentials; theta = 0.05 under-rotates most
-    # poles, so draws mix plateau poles with ones that settle early.
+    # poles, so draws mix plateau poles with ones that settle early. The
+    # lists may repeat a value, which the oracle's grid visits once.
     @settings(max_examples=25, deadline=None)
     @given(
         l=st.integers(0, 2),
         n=st.integers(20, 60),
         z_target=st.sampled_from([-1.0, 0.0, 1.0]),
         model=st.sampled_from([R2_EXP_POTENTIAL, EMPTY]),
-        lams=st.lists(st.sampled_from([15.0, 20.0, 30.0]), min_size=1, max_size=2, unique=True),
-        thetas=st.lists(st.sampled_from([0.05, 0.4, 0.7]), min_size=1, max_size=3, unique=True),
-        n_offsets=st.lists(st.sampled_from([0, -5, 5]), min_size=1, max_size=2, unique=True),
+        lams=st.lists(st.sampled_from([15.0, 20.0, 30.0]), min_size=1, max_size=2),
+        thetas=st.lists(st.sampled_from([0.05, 0.4, 0.7]), min_size=1, max_size=3),
+        n_offsets=st.lists(st.sampled_from([0, -5, 5]), min_size=1, max_size=2),
     )
     def test_verdicts_match_the_full_grid(self, l, n, z_target, model, lams, thetas, n_offsets):
         cfg = _cfg(l=l, n=n)
@@ -948,15 +964,12 @@ class TestAutoSearch:
 
     def test_array_inputs_match_lists(self):
         cfg = _cfg(n=20)
-        as_lists = auto_search(
-            cfg, R2_EXP_POTENTIAL, [0.0, 1.0], im_schedule=[-0.1, -10.0], run_stability=False
-        )
+        as_lists = auto_search(cfg, R2_EXP_POTENTIAL, [0.0, 1.0], im_schedule=[-0.1, -10.0])
         as_arrays = auto_search(
             cfg,
             R2_EXP_POTENTIAL,
             np.array([0.0, 1.0]),
             im_schedule=np.array([-0.1, -10.0]),
-            run_stability=False,
         )
         assert as_lists
         assert as_arrays == as_lists
@@ -984,8 +997,9 @@ class TestAutoSearch:
             return original(guess, *args)
 
         monkeypatch.setattr(resonance, "refine_resonance", recording)
-        auto_search(cfg, R2_EXP_POTENTIAL, [0.0], im_schedule=(-0.4, -10.0), re_range=(0.0, 8.0),
-                    run_stability=False)
+        # grid points re-refine the poles; only the candidates are recorded
+        monkeypatch.setattr(resonance, "stability_reports", lambda found, *_: [None] * len(found))
+        auto_search(cfg, R2_EXP_POTENTIAL, [0.0], im_schedule=(-0.4, -10.0), re_range=(0.0, 8.0))
         in_box = [
             e for e in poles(RotatedHamiltonian(cfg, R2_EXP_POTENTIAL), 0.0)
             if 0.0 <= e.real <= 8.0 and -10.0 <= e.imag < 0
@@ -1063,25 +1077,15 @@ class TestAutoSearch:
         # V = 0 has no genuine poles at Z = 0; any search hits are
         # finite-basis artifacts and the stability scan must reject them
         cfg = _cfg(n=60)
-        found = auto_search(
-            cfg,
-            EMPTY,
-            [0.0],
-            im_schedule=(-0.1, -1.0),
-            run_stability=False,
-        )
+        found = auto_search(cfg, EMPTY, [0.0], im_schedule=(-0.1, -1.0))
         for r in found:
+            assert not r.stability.plateau
             report = stability_scan(r, [10.0, 20.0], [0.6, 0.7], [60], cfg, EMPTY)
             assert not report.plateau
 
     def test_finds_all_neutral_channel_resonances(self):
         # three poles below Re E = 10 in the s-wave neutral channel
-        found = auto_search(
-            _cfg(n=150),
-            R2_EXP_POTENTIAL,
-            [0.0],
-            run_stability=False,
-        )
+        found = auto_search(_cfg(n=150), R2_EXP_POTENTIAL, [0.0])
         expected = [
             3.426390331 - 0.012774481j,
             4.834806841 - 1.117876669j,
@@ -1095,12 +1099,7 @@ class TestAutoSearch:
             assert r.z_target == 0.0
 
     def test_results_sorted_and_deduplicated(self):
-        found = auto_search(
-            _cfg(n=150),
-            R2_EXP_POTENTIAL,
-            [0.0],
-            run_stability=False,
-        )
+        found = auto_search(_cfg(n=150), R2_EXP_POTENTIAL, [0.0])
         reals = [r.e_r for r in found]
         assert reals == sorted(reals)
         arr = np.array([r.energy for r in found])
