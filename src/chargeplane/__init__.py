@@ -20,7 +20,6 @@ from .resonance import (
     poles,
     refine_resonance,
     stability_reports,
-    stability_scan,
 )
 from .trajectory import EnergyGrid, Trajectory, match_step, sweep
 
@@ -56,6 +55,5 @@ __all__ = [
     "potential_matrix",
     "refine_resonance",
     "stability_reports",
-    "stability_scan",
     "sweep",
 ]

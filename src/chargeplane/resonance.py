@@ -289,29 +289,6 @@ def stability_reports(
     return reports
 
 
-def stability_scan(
-    res: Resonance,
-    lambda_values,
-    theta_values,
-    n_values,
-    cfg: ChannelConfig,
-    model: PotentialModel,
-    tolerance: float = STABILITY_TOL,
-) -> StabilityReport:
-    """Re-refine a resonance over a (lambda, theta, N) grid.
-
-    `res` must be a converged pole of (cfg, model): at the channel's own
-    grid point it stands for itself, unrefined. An empty list takes its
-    default, as in `stability_reports`. The plateau flag requires a grid of
-    at least 2 distinct points, every point to converge and the maximum
-    pairwise |dE| to stay within tolerance. The scan stops at the first
-    point that rules a plateau out, so a non-plateau report lists only the
-    points visited up to that one (see StabilityReport for the visiting
-    order).
-    """
-    return stability_reports([res], cfg, model, lambda_values, theta_values, n_values, tolerance)[0]
-
-
 DEFAULT_IM_SCHEDULE = (-0.025, -0.1, -0.4, -1.6, -3.2, -6.4, -12.8, -25.6)
 
 

@@ -23,7 +23,7 @@ from chargeplane import (
     RotatedHamiltonian,
     poles,
     refine_resonance,
-    stability_scan,
+    stability_reports,
 )
 
 FREE = PotentialModel()
@@ -95,7 +95,7 @@ def test_ground_state_is_a_plateau_at_two_kappa(l, charge, theta):
     cfg, (exact, *_) = _setup(l, charge, 2.0, theta)
     res = refine_resonance(exact * (1 + 1e-3), charge, cfg, FREE)
     assert res.converged
-    report = stability_scan(res, (), (), (), cfg, FREE)  # the default grid
+    report = stability_reports([res], cfg, FREE)[0]  # the default grid
     assert report.plateau
     assert report.entries[0][:3] == (cfg.scale, theta, cfg.n_basis)  # theta = 0 keeps it
     assert len(report.entries) == (6 if theta == 0.0 else 9)
@@ -110,4 +110,4 @@ def test_unresolved_state_converges_off_it_and_is_no_plateau():
     res = refine_resonance(exact * (1 + 1e-3), -1.0, cfg, FREE)
     assert res.converged
     assert abs(res.energy - exact) > 1e-3
-    assert not stability_scan(res, (), (), (), cfg, FREE).plateau
+    assert not stability_reports([res], cfg, FREE)[0].plateau
