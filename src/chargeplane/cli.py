@@ -5,14 +5,14 @@ come from the YAML config (--config); flags cover only the output path and
 plot emission (--svg, on sweep only). scan lists the poles of each target
 charge from one eigensolve (`resonance.poles`: the pencil (S - Z_t, -D),
 reduced by the bidiagonal Cholesky factor of D's real J matrix to one
-complex-symmetric standard problem) and refines and stability-checks them
-over the default grid (`resonance.stability_reports`), whatever the
-`stability` section says; stability checks over that section's grid, each
-omitted list taking its default. sweep traces the charge trajectories that
-picture them. `main` runs every command with BLAS at one thread
-(`lapack.one_thread`), so outputs do not depend on the host's BLAS
-threading. Exit codes: 0 success, 1 physics tolerance failure, 2
-configuration error, 3 solver failure.
+complex-symmetric standard problem), refines those that every theta of the
+default grid (`resonance.stability_reports`) exposes and stability-checks
+them over that grid, whatever the `stability` section says; stability
+checks over that section's grid, each omitted list taking its default.
+sweep traces the charge trajectories that picture them. `main` runs every
+command with BLAS at one thread (`lapack.one_thread`), so outputs do not
+depend on the host's BLAS threading. Exit codes: 0 success, 1 physics
+tolerance failure, 2 configuration error, 3 solver failure.
 """
 
 from __future__ import annotations

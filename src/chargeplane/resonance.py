@@ -10,6 +10,9 @@ matrix (`RotatedHamiltonian.reduced`); one dense eigensolve of that lists
 them all (`poles`). Each seeds a Newton iteration on E, and accepted poles
 must sit on a plateau under variations of (lambda, theta, N), over the grid
 and tolerance that `stability_reports` defaults to when given none.
+`auto_search` refines only the poles inside the exposure window of that
+grid's smallest theta, since a pole that some grid point cannot expose
+never sits on a plateau.
 Refinement refactors only when a solve fails to cut the backward error below
 REFACTOR_RATIO (0.3) times the last; `Resonance.iterations` counts solves.
 
@@ -104,6 +107,9 @@ def outside_exposure_window(energy: complex, theta: float) -> bool:
 
     Rotation by theta exposes only poles with theta > |arg E| / 2, so a pole
     beyond that converges as a discretization artifact, not a resonance.
+    `find` and `stability` warn at the channel's theta; `auto_search` drops
+    candidates at its stability grid's smallest theta, which must expose a
+    plateau pole too.
     Poles with Re E <= 0 are not judged: a bound state's Im E is zero up to
     discretization noise of either sign, which would put it at |arg E| = pi.
     """
@@ -224,6 +230,18 @@ def _refine_at_point(found, cfg: ChannelConfig, model: PotentialModel) -> list[t
     return outcomes
 
 
+def _default_grid(cfg: ChannelConfig) -> tuple[tuple, tuple, tuple]:
+    """The lambda, theta and N values a stability grid takes for an empty
+    list: lambda/2, lambda and 2 lambda; theta - 0.05, theta and
+    theta + 0.05, each kept only inside [0, pi/2); and the channel's N."""
+    thetas = (cfg.theta - 0.05, cfg.theta, cfg.theta + 0.05)
+    return (
+        (cfg.scale / 2, cfg.scale, 2 * cfg.scale),
+        tuple(t for t in thetas if 0 <= t < np.pi / 2),
+        (cfg.n_basis,),
+    )
+
+
 def stability_reports(
     found, cfg, model, lambda_values=(), theta_values=(), n_values=(), tolerance=STABILITY_TOL
 ) -> list[StabilityReport]:
@@ -255,12 +273,15 @@ def stability_reports(
     grid's in any order; only resonances still live are re-refined at later
     points. A resonance still live after the last point converged at every
     point with every pairwise |dE| within tolerance, so it is on a plateau
-    when the grid has at least 2 points.
+    when the grid has at least 2 points. Raises ChargePlaneError, before
+    any assembly, on a NaN, infinite or negative tolerance.
     """
-    thetas = (cfg.theta - 0.05, cfg.theta, cfg.theta + 0.05)
-    lambda_values = tuple(lambda_values) or (cfg.scale / 2, cfg.scale, 2 * cfg.scale)
-    theta_values = tuple(theta_values) or tuple(t for t in thetas if 0 <= t < np.pi / 2)
-    n_values = tuple(n_values) or (cfg.n_basis,)
+    if not 0 <= tolerance < math.inf:
+        raise ChargePlaneError(f"expected a finite tolerance >= 0, got {tolerance!r}")
+    default_lambdas, default_thetas, default_ns = _default_grid(cfg)
+    lambda_values = tuple(lambda_values) or default_lambdas
+    theta_values = tuple(theta_values) or default_thetas
+    n_values = tuple(n_values) or default_ns
     grid = list(dict.fromkeys(itertools.product(lambda_values, theta_values, n_values)))
     own = (cfg.scale, cfg.theta, cfg.n_basis)
     if own in grid:
@@ -305,14 +326,18 @@ def auto_search(
 
     The candidates are the `poles` with Re E in re_range and
     min(im_schedule) <= Im E < 0 (an empty schedule is an empty box),
-    except those outside the exposure window; each is polished by
+    except those outside the exposure window of the stability grid's
+    smallest theta (cfg.theta - 0.05, or cfg.theta below 0.05): a pole
+    that one grid point cannot expose is never on a plateau. This drops
+    the rotated-continuum pseudo-states, which lie just inside
+    |arg E| = 2 cfg.theta, and at cfg.theta = 0.05, whose grid holds
+    theta = 0, every pole with Re E > 0. Each candidate is polished by
     refine_resonance. Candidates that fail to refine are dropped; nothing
     here is fatal. Each pole gets its stability_reports report over the
     default grid, the 3 x 3 (lambda, theta) grid around cfg, at the default
     tolerance STABILITY_TOL: all poles share one assembly per grid point
     except cfg's own, where each pole is its own entry, and a pole leaves
-    the grid at the point that settles its verdict, for an artifact mostly
-    the first (lambda, cfg.theta) point after its own. `steps` and `window`
+    the grid at the point that settles its verdict. `steps` and `window`
     have no effect; they are kept because configs and the benchmark's
     workloads pass them. Output is ordered by (z_target, E_r).
     """
@@ -326,13 +351,14 @@ def auto_search(
     if len(z_targets) == 0 or len(im_schedule) == 0:
         return []
     im_lo = min(im_schedule)
+    theta_min = min(_default_grid(cfg)[1])
     ham = shared_hamiltonian(cfg, model)
     found: list[Resonance] = []
     for target in map(float, z_targets):
         for guess in poles(ham, target):
             if not (re_lo <= guess.real <= re_hi and im_lo <= guess.imag < 0):
                 continue
-            if outside_exposure_window(guess, cfg.theta):
+            if outside_exposure_window(guess, theta_min):
                 continue
             try:
                 res = refine_resonance(guess, target, cfg, model, ham)

@@ -175,6 +175,39 @@ class TestSweep:
         assert not (out / "trajectories.svg").exists()
 
 
+class TestScan:
+    def test_readme_counts_hold(self, tmp_path, monkeypatch):
+        # the scan paragraph's figures, from both configs it quotes: the
+        # README run.yaml (N = 200) and the same at N = 150
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        readme = " ".join(readme.split())
+        (quoted,) = re.findall(
+            r"With N = 150, lambda = 20, theta = 0\.7 and Re E in \[0, 10\], `scan` lists (\d+) "
+            r"poles, (\d+) of them on a plateau \(([\d., and]+)\); with the N = 200 config below "
+            r"it lists (\d+), and the same (\d+) are on a plateau",
+            readme,
+        )
+        (factorizations,) = re.findall(r"a `scan` pass at N = 150 takes (\d+)", readme)
+        plateau_e_r = [float(v) for v in re.findall(r"[\d.]+", quoted[2])]
+        factored = []
+        original = lapack.ldlt
+        monkeypatch.setattr(lapack, "ldlt", lambda mat: factored.append(1) or original(mat))
+        data = _readme_config()
+        counts = []
+        for n_basis in (150, 200):
+            cfg = _write_cfg(tmp_path, {**data, "channel": {**data["channel"], "n_basis": n_basis}})
+            factored.clear()
+            out = tmp_path / f"n{n_basis}"
+            assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+            records = json.loads((out / "resonances.json").read_text())
+            plateau = [r["e_r"] for r in records if r["stability"]["plateau"]]
+            assert [round(e, 5) for e in plateau] == plateau_e_r
+            counts.append((len(records), len(plateau), len(factored)))
+        (n150, p150, f150), (n200, p200, _) = counts
+        assert (n150, p150, n200, p200) == tuple(int(quoted[i]) for i in (0, 1, 3, 4))
+        assert f150 == int(factorizations)
+
+
 class TestFind:
     def test_refines_known_resonance(self, tmp_path):
         cfg = _write_cfg(tmp_path, FIND)

@@ -584,11 +584,16 @@ class TestFactorizationCount:
 
     def test_scan_pass_refactors_less_than_every_step(self, monkeypatch):
         # the benchmark's scan configuration; refactoring at every step, as
-        # rqi_refine_resonance does, takes 158 factorizations here
+        # rqi_refine_resonance does, takes 158 factorizations here. The pass
+        # takes 39: one per listed pole and one per stability point of each
+        # plateau pole, plus 2; with lambda 18-22 or theta 0.69-0.71 it is
+        # still 39. The bound allows one more for each of the 5 listed
+        # poles; refining the 21 band candidates as well takes 102.
         factored = _record_factorizations(monkeypatch)
         with lapack.one_thread():
             found = auto_search(_cfg(n=150), R2_EXP_POTENTIAL, [0.0])
         assert sum(r.stability.plateau for r in found) == 4
+        assert len(factored) <= 44
         assert len(factored) < 158
 
 
@@ -859,6 +864,18 @@ class TestStabilityScan:
         assert len(report.entries) == 2
         assert report.max_deviation is None  # one converged entry
 
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-8])
+    def test_bad_tolerance_raises_before_assembly(self, monkeypatch, tolerance):
+        # a NaN tolerance would pass every comparison and make every
+        # converged pole a plateau
+        cfg = _cfg(n=60)
+        res = refine_resonance(3.4264 - 0.0128j, 0.0, cfg, R2_EXP_POTENTIAL)
+        built = []
+        monkeypatch.setattr(resonance, "RotatedHamiltonian", lambda *args: built.append(args))
+        with pytest.raises(ChargePlaneError, match="tolerance"):
+            stability_reports([res], cfg, R2_EXP_POTENTIAL, tolerance=tolerance)
+        assert built == []
+
     def test_unconverged_pole_settles_at_its_own_point(self):
         cfg = _cfg(n=60)
         res = refine_resonance(3.4264 - 0.0128j, 0.0, cfg, R2_EXP_POTENTIAL)
@@ -966,6 +983,35 @@ class TestStabilityScan:
                 assert len(report.entries) == len(other.entries)
 
 
+def _smallest_theta(theta):
+    """The default stability grid's smallest theta: theta - 0.05, or theta
+    itself below 0.05, where theta - 0.05 leaves [0, pi/2)."""
+    return theta - 0.05 if theta >= 0.05 else theta
+
+
+def _in_band(energy, theta):
+    """True for a pole that theta exposes and the grid's smallest theta does not."""
+    return (
+        outside_exposure_window(energy, _smallest_theta(theta))
+        and not outside_exposure_window(energy, theta)
+    )
+
+
+def _record_candidates(monkeypatch) -> list:
+    """The guess of every later auto_search candidate refinement. The
+    stability pass is stubbed out, so its re-refinements are not recorded."""
+    guesses = []
+    original = resonance.refine_resonance
+
+    def recording(guess, *args):
+        guesses.append(guess)
+        return original(guess, *args)
+
+    monkeypatch.setattr(resonance, "refine_resonance", recording)
+    monkeypatch.setattr(resonance, "stability_reports", lambda found, *_: [None] * len(found))
+    return guesses
+
+
 class TestAutoSearch:
     def test_empty_targets(self):
         assert auto_search(_cfg(n=40), R2_EXP_POTENTIAL, []) == []
@@ -1000,24 +1046,49 @@ class TestAutoSearch:
 
     def test_refines_exactly_the_exposed_poles_in_the_region(self, monkeypatch):
         cfg = _cfg(n=60)
-        guesses = []
-        original = resonance.refine_resonance
-
-        def recording(guess, *args):
-            guesses.append(guess)
-            return original(guess, *args)
-
-        monkeypatch.setattr(resonance, "refine_resonance", recording)
-        # grid points re-refine the poles; only the candidates are recorded
-        monkeypatch.setattr(resonance, "stability_reports", lambda found, *_: [None] * len(found))
-        auto_search(cfg, R2_EXP_POTENTIAL, [0.0], im_schedule=(-0.4, -10.0), re_range=(0.0, 8.0))
+        guesses = _record_candidates(monkeypatch)
+        auto_search(cfg, R2_EXP_POTENTIAL, [0.0], im_schedule=(-0.4, -12.0), re_range=(0.0, 8.0))
         in_box = [
             e for e in poles(RotatedHamiltonian(cfg, R2_EXP_POTENTIAL), 0.0)
-            if 0.0 <= e.real <= 8.0 and -10.0 <= e.imag < 0
+            if 0.0 <= e.real <= 8.0 and -12.0 <= e.imag < 0
         ]
-        expected = [e for e in in_box if not outside_exposure_window(e, cfg.theta)]
+        # the box holds poles outside the window at theta itself and poles
+        # in the band that only theta - 0.05, the grid's smallest, leaves out
+        assert any(outside_exposure_window(e, cfg.theta) for e in in_box)
+        assert any(_in_band(e, cfg.theta) for e in in_box)
+        expected = [e for e in in_box if not outside_exposure_window(e, _smallest_theta(cfg.theta))]
         assert 0 < len(expected) < len(in_box)
         assert guesses == expected
+
+    # The stability grid always holds its smallest theta, so a pole in the
+    # band that theta exposes and that smallest theta cannot is never a
+    # plateau, and auto_search refines only the candidates outside the
+    # band. At theta = 0.03 the grid has no theta - 0.05, and the band is
+    # empty; at theta = 0.05 it holds theta = 0, which exposes no resonance.
+    @pytest.mark.parametrize("l", [0, 2])
+    @pytest.mark.parametrize("theta", [0.03, 0.05, 0.5, 0.7])
+    @pytest.mark.parametrize("model", [R2_EXP_POTENTIAL, GAUSSIAN_WELL_POTENTIAL])
+    def test_band_poles_are_never_plateaus_and_never_refined(self, monkeypatch, model, theta, l):
+        cfg = ChannelConfig(l=l, n_basis=60, scale=20.0, theta=theta, quad_size=60)
+        ham = RotatedHamiltonian(cfg, model)
+        targets = (-1.0, 0.0, 1.0)
+        im_lo = min(resonance.DEFAULT_IM_SCHEDULE)
+        in_box = []
+        for z_target in targets:
+            listed = poles(ham, z_target)
+            in_box += [e for e in listed if 0.0 <= e.real <= 10.0 and im_lo <= e.imag < 0]
+            band = [e for e in listed if _in_band(e, theta)]
+            refined = [refine_resonance(e, z_target, cfg, model, ham) for e in band]
+            converged = [res for res in refined if res.converged]
+            assert not any(report.plateau for report in stability_reports(converged, cfg, model))
+        assert any(_in_band(e, theta) for e in in_box) == (theta != 0.03)
+        guesses = _record_candidates(monkeypatch)
+        found = auto_search(cfg, model, targets)
+        expected = [e for e in in_box if not outside_exposure_window(e, _smallest_theta(theta))]
+        assert guesses == expected
+        if theta == 0.05:
+            assert expected == []
+            assert not any(r.energy.real > 0 and r.energy.imag < 0 for r in found)
 
     def test_shared_assemblies_give_the_one_pole_reports(self):
         # the first entry is the pole itself at the channel's own point, and
@@ -1087,14 +1158,21 @@ class TestAutoSearch:
         assert in_stability == sum(len(r.stability.entries) - 1 for r in found)
 
     def test_free_operator_artifacts_fail_stability(self):
-        # V = 0 has no genuine poles at Z = 0; any search hits are
-        # finite-basis artifacts and the stability scan must reject them
+        # V = 0 has no genuine poles at Z = 0; the poles in the search box
+        # are finite-basis artifacts, the stability scan must reject them,
+        # and the window at the grid's smallest theta drops them unrefined
         cfg = _cfg(n=60)
-        found = auto_search(cfg, EMPTY, [0.0], im_schedule=(-0.1, -1.0))
+        in_box = [
+            e for e in poles(RotatedHamiltonian(cfg, EMPTY), 0.0)
+            if 0.0 <= e.real <= 10.0 and -1.0 <= e.imag < 0
+        ]
+        found = [refine_resonance(e, 0.0, cfg, EMPTY) for e in in_box]
+        assert found and all(r.converged for r in found)
+        assert not any(report.plateau for report in stability_reports(found, cfg, EMPTY))
         for r in found:
-            assert not r.stability.plateau
             report = stability_reports([r], cfg, EMPTY, [10.0, 20.0], [0.6, 0.7], [60])[0]
             assert not report.plateau
+        assert auto_search(cfg, EMPTY, [0.0], im_schedule=(-0.1, -1.0)) == []
 
     def test_finds_all_neutral_channel_resonances(self):
         # three poles below Re E = 10 in the s-wave neutral channel
