@@ -11,6 +11,7 @@ eigenvector products replace the classical quadrature weights.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,6 +25,21 @@ from .errors import ConfigError, EigensolverError
 MAX_ORDER = math.isqrt(np.iinfo(np.intp).max // 16)
 
 
+def integer(value) -> int:
+    """An integral number as an int: 2, 2.0 and numpy's integers pass; 2.5,
+    NaN, a bool or a value that is not a number raises ValueError or
+    TypeError. Every order and count of a run is read through it, from a
+    config file as from a library call."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
+
+
 @dataclass(frozen=True, kw_only=True)
 class ChannelConfig:
     """One basis/rotation setting: (l, N, lambda, theta) plus quadrature size."""
@@ -35,7 +51,14 @@ class ChannelConfig:
     quad_size: int | None = None
 
     def __post_init__(self):
-        if self.l < 0 or int(self.l) != self.l:
+        if self.quad_size is None:
+            object.__setattr__(self, "quad_size", self.n_basis)
+        for key in ("l", "n_basis", "quad_size"):
+            try:
+                object.__setattr__(self, key, integer(getattr(self, key)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"channel {key}: {exc}") from exc
+        if self.l < 0:
             raise ConfigError(f"angular momentum l must be a non-negative integer, got {self.l}")
         if self.n_basis < 1:
             raise ConfigError(f"basis size must be >= 1, got {self.n_basis}")
@@ -43,8 +66,6 @@ class ChannelConfig:
             raise ConfigError(f"channel.scale must be finite and > 0, got {self.scale}")
         if not 0 <= self.theta < np.pi / 2:
             raise ConfigError(f"rotation angle must lie in [0, pi/2), got {self.theta}")
-        if self.quad_size is None:
-            object.__setattr__(self, "quad_size", self.n_basis)
         for key in ("n_basis", "quad_size"):
             if getattr(self, key) > MAX_ORDER:
                 raise ConfigError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
-from .basis import MAX_ORDER, ChannelConfig
+from .basis import MAX_ORDER, ChannelConfig, integer
 from .errors import ChargePlaneError, ConfigError
 from .potential import PotentialModel, PotentialTerm
 from .resonance import DEFAULT_IM_SCHEDULE, STABILITY_TOL
@@ -27,14 +27,6 @@ def _number(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
-
-
-def parse_integer(value) -> int:
-    """An integral config number as an int: 2 and 2.0 pass, 2.5 raises ValueError."""
-    number = _number(value)
-    if not number.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(number)
 
 
 def _list(convert, valid, expected: str):
@@ -174,12 +166,12 @@ _READERS = {
     "grid": EnergyGrid,
     "energy": complex,
     "guess": complex,
-    **dict.fromkeys(("l", "n_basis", "quad_size", "steps", "p", "q"), parse_integer),
+    **dict.fromkeys(("l", "n_basis", "quad_size", "steps", "p", "q"), integer),
     **dict.fromkeys(("z_targets", "im_schedule"), _list(_number, math.isfinite, "finite values")),
     "lambda_values": _list(_number, lambda v: 0 < v < math.inf, "finite values > 0"),
     "theta_values": _list(_number, lambda v: 0 <= v < math.pi / 2, "values in [0, pi/2)"),
     "n_values": _list(
-        parse_integer, lambda v: 1 <= v <= MAX_ORDER, f"integers in [1, {MAX_ORDER}]"
+        integer, lambda v: 1 <= v <= MAX_ORDER, f"integers in [1, {MAX_ORDER}]"
     ),
     "tolerance": _tolerance,
     "tables": _list(lambda name: name, lambda name: isinstance(name, str), "names"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import ChannelConfig
+from .basis import ChannelConfig, integer
 from .eigensolver import eigenvalues
 from .errors import ChargePlaneError, EigensolverError
 from .potential import PotentialModel
@@ -30,6 +30,10 @@ class EnergyGrid:
     im_part: float = 0.0
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "steps", integer(self.steps))
+        except (TypeError, ValueError) as exc:
+            raise ChargePlaneError(f"grid steps: {exc}") from exc
         if not np.all(np.isfinite([self.re_start, self.re_end, self.im_part])):
             raise ChargePlaneError(
                 f"grid bounds must be finite, got re [{self.re_start}, {self.re_end}], "

@@ -4,8 +4,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from chargeplane import resonance
+
+# A failing draw prints its @reproduce_failure blob, so a draw-dependent
+# failure can be replayed exactly; the draws themselves stay random.
+settings.register_profile("chargeplane", print_blob=True)
+settings.load_profile("chargeplane")
 
 
 @pytest.fixture(autouse=True)

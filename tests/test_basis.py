@@ -225,6 +225,8 @@ class TestChannelConfig:
         assert cfg.nu == 5
         assert cfg.quad_size == 10
         assert cfg.rotated_scale == pytest.approx(5.0 * np.exp(-0.3j))
+        cfg = ChannelConfig(l=np.int64(1), n_basis=20.0, scale=5.0)
+        assert [type(v) for v in (cfg.l, cfg.n_basis, cfg.quad_size)] == [int] * 3
 
     def test_rotation_below_eps_is_none(self):
         eps = np.finfo(float).eps
@@ -243,6 +245,12 @@ class TestChannelConfig:
             dict(l=0, n_basis=10, scale=5.0, quad_size=5),
             dict(l=0, n_basis=10, scale=np.inf),
             dict(l=0, n_basis=10, scale=np.nan),
+            # non-integral or bool orders, which once passed or failed in numpy
+            dict(l=0, n_basis=20, scale=20.0, quad_size=30.5),
+            dict(l=0, n_basis=20, scale=20.0, quad_size=np.nan),
+            dict(l=0, n_basis=20.5, scale=20.0),
+            dict(l=0, n_basis=True, scale=20.0),
+            dict(l=True, n_basis=20, scale=20.0),
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -1,0 +1,149 @@
+"""The Coulomb scaling law: an oracle on the whole pipeline that knows none
+of its designs.
+
+Scaling r -> s r maps (V(r), Z, E, lambda) to (s^2 V(s r), s Z, s^2 E,
+s lambda). A term c r^p exp(-b (r - r0)^q) of V maps to the term
+(c s^(p+2), p, b s^q, r0 / s, q), and M_2(s^2 E) = s M_1(E): D = J / lambda'
+scales by 1/s, the kinetic term -(lambda'/8)|J| and each quadrature weight
+of V by s. A power of 2 scales every product, quotient and square root
+exactly, so when s is a power of 2 and no intermediate is subnormal or
+overflows, the law holds bit for bit in the assembly and in every
+refinement step.
+A refinement's iterates scale by s^2 and its backward errors by s, so with
+RESIDUAL_TOL scaled by s it stops at the same solve (with RESIDUAL_TOL
+alone, one that stalls between RESIDUAL_TOL / 2 and RESIDUAL_TOL converges
+on one side only), and a stability report at tolerance s^2 STABILITY_TOL
+is the unscaled one scaled. `poles` is a dense eigensolve, whose rounding
+need not scale, so `auto_search` over the box scaled by s^2 lists the same
+poles only to the refinement's spread; its verdicts are not compared,
+since STABILITY_TOL and DEDUP_TOL stay absolute there.
+
+The law ties together the powers of lambda' in S, D and the quadrature
+weights. It cannot see a mistake that scales with s: a constant factor
+such as the kinetic 1/8, a wrong sign or factor on Z, a wrong quadrature nu
+or a wrong Rayleigh quotient.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from chargeplane import resonance
+from chargeplane.basis import ChannelConfig
+from chargeplane.errors import EigensolverError
+from chargeplane.hamiltonian import RotatedHamiltonian
+from chargeplane.potential import PotentialModel, PotentialTerm
+from chargeplane.resonance import (
+    DEFAULT_IM_SCHEDULE,
+    RESIDUAL_TOL,
+    STABILITY_TOL,
+    StabilityReport,
+    auto_search,
+    poles,
+    refine_resonance,
+    stability_reports,
+)
+
+# Terms within the config's limits (q in {1, 2}, b >= 0, p a non-negative
+# integer), at the sizes of the built-in potentials.
+models = st.lists(
+    st.builds(
+        PotentialTerm,
+        c=st.floats(-10.0, 10.0),
+        p=st.integers(0, 3),
+        b=st.floats(0.0, 3.0),
+        s=st.floats(-3.0, 3.0),
+        q=st.sampled_from([1, 2]),
+    ),
+    max_size=3,
+).map(lambda terms: PotentialModel(tuple(terms)))
+
+
+def scaled_model(model: PotentialModel, s: float) -> PotentialModel:
+    """s^2 V(s r), term by term."""
+    return PotentialModel(tuple(
+        PotentialTerm(t.c * s ** (t.p + 2), t.p, t.b * s**t.q, t.s / s, t.q) for t in model.terms
+    ))
+
+
+def subnormal(*values: complex) -> bool:
+    parts = np.array([(v.real, v.imag) for v in map(complex, values)])
+    return bool(np.any((parts != 0) & (np.abs(parts) < np.finfo(float).tiny)))
+
+
+def pipeline(cfg, model, ham, guess, z, s):
+    """A refinement from guess, its stability report and an auto_search, at
+    the tolerances and search box of the scale s; None if the refinement
+    raises."""
+    try:
+        res = refine_resonance(guess, z, cfg, model, ham)
+    except EigensolverError:
+        return None
+    report = stability_reports([res], cfg, model, tolerance=s * s * STABILITY_TOL)[0]
+    im_schedule = [s * s * v for v in DEFAULT_IM_SCHEDULE]
+    return res, report, auto_search(cfg, model, [z], im_schedule, re_range=(0.0, s * s * 10.0))
+
+
+# A draw that breaks the condition is reported as an event of its kind
+# (--hypothesis-show-statistics). In 3,000 draws at 1 and 3,000 at 2 BLAS
+# threads, 20% and 15% met an under- or overflow and 6% and 4% a subnormal
+# energy or charge; every other draw held the law. Over 3,000 numpy draws
+# the two `auto_search` runs' energies differed by at most 2.7e-12 of
+# s^2 max(1, |E|).
+@settings(max_examples=100, deadline=None)
+@given(
+    model=models,
+    l=st.integers(0, 3),
+    n=st.integers(1, 60),
+    oversample=st.integers(0, 10),
+    scale=st.floats(0.5, 40.0),
+    theta=st.floats(0.0, np.pi / 2, exclude_max=True),
+    z=st.floats(-5.0, 5.0),
+    s=st.sampled_from([0.5, 2.0]),
+    energy=st.complex_numbers(max_magnitude=100.0),
+    pick=st.integers(0, 10**6),
+    rel=st.complex_numbers(max_magnitude=1e-3),
+)
+def test_scaling_law(model, l, n, oversample, scale, theta, z, s, energy, pick, rel):
+    cfg = ChannelConfig(l=l, n_basis=n, scale=scale, theta=theta, quad_size=n + oversample)
+    cfg2, model2 = replace(cfg, scale=s * scale), scaled_model(model, s)
+    if subnormal(energy, s * s * energy, z, s * z):
+        event("breaks the condition: a subnormal energy or charge")
+        return
+    # numpy raises at the first under- or overflow of the unscaled side: a
+    # Gaussian term rotated past theta = pi/4 grows like
+    # exp(b r^2 |cos 2 theta|), and a product may be subnormal
+    with np.errstate(all="raise"):
+        try:
+            ham = RotatedHamiltonian(cfg, model)
+            mat = ham.matrix(energy, z)
+            guess = poles(ham, z)[pick % n] * (1 + rel)
+            if subnormal(guess, s * s * guess):
+                event("breaks the condition: a subnormal guess")
+                return
+            first = pipeline(cfg, model, ham, guess, z, 1.0)
+        except FloatingPointError:
+            event("breaks the condition: an intermediate under- or overflows")
+            return
+    ham2 = RotatedHamiltonian(cfg2, model2)
+    assert np.array_equal(ham2.matrix(s * s * energy, s * z), s * mat)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resonance, "RESIDUAL_TOL", RESIDUAL_TOL * s)
+        second = pipeline(cfg2, model2, ham2, s * s * guess, s * z, s)
+    if first is None:
+        assert second is None
+        return
+    (res, report, found), (res2, report2, found2) = first, second
+    assert res2 == replace(res, z_target=s * z, energy=s * s * res.energy, residual=s * res.residual)
+    assert report2 == StabilityReport(
+        tuple((s * lam, th, m, None if e is None else s * s * e, c)
+              for lam, th, m, e, c in report.entries),
+        None if report.max_deviation is None else s * s * report.max_deviation,
+        report.plateau,
+    )
+    assert [r.z_target for r in found2] == [s * r.z_target for r in found]
+    for r, r2 in zip(found, found2):
+        assert abs(r2.energy - s * s * r.energy) <= 1e-10 * s * s * max(1.0, abs(r.energy))

@@ -9,8 +9,8 @@ from chargeplane import trajectory
 from chargeplane.basis import ChannelConfig
 from chargeplane.eigensolver import eigen_decompose, eigenvalues
 from chargeplane.errors import ChargePlaneError
-from chargeplane.potential import GAUSSIAN_WELL_POTENTIAL, PotentialModel
-from chargeplane.resonance import shared_hamiltonian
+from chargeplane.potential import GAUSSIAN_WELL_POTENTIAL, R2_EXP_POTENTIAL, PotentialModel
+from chargeplane.resonance import poles, refine_resonance, shared_hamiltonian
 from chargeplane.trajectory import EnergyGrid, match_step, sweep
 
 EMPTY = PotentialModel(terms=())
@@ -64,6 +64,7 @@ class TestEnergyGrid:
         assert grid.energies() == pytest.approx(
             np.array([0.0 - 0.5j, 0.5 - 0.5j, 1.0 - 0.5j])
         )
+        assert type(EnergyGrid(re_start=0.0, re_end=1.0, steps=3.0).steps) is int
 
     @pytest.mark.parametrize("field", ["re_start", "re_end", "im_part"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -78,6 +79,9 @@ class TestEnergyGrid:
             EnergyGrid(re_start=1.0, re_end=0.0, steps=5)
         with pytest.raises(ChargePlaneError):
             EnergyGrid(re_start=0.0, re_end=1.0, steps=1)
+        for steps in (2.5, True, np.nan, None):  # 2.5 once failed inside numpy
+            with pytest.raises(ChargePlaneError, match="steps"):
+                EnergyGrid(re_start=0.0, re_end=1.0, steps=steps)
 
 
 class TestMatchStep:
@@ -187,6 +191,20 @@ class TestSweep:
             swept = np.sort_complex(np.array([t.z_values[k] for t in trajs]))
             full = np.sort_complex(eigen_decompose(mat).values)
             assert np.abs(swept - full).max() <= 1e-10 * np.linalg.norm(mat, "fro")
+
+    @pytest.mark.parametrize("z_target", [-1.0, 0.0, 1.0])
+    def test_branch_at_a_refined_pole_holds_its_charge(self, z_target):
+        # sweep and refinement share only the operator: at the energy that
+        # refinement finds for a pole, one swept branch holds the target charge
+        cfg = ChannelConfig(l=0, n_basis=40, scale=20.0, theta=0.7, quad_size=40)
+        listed = poles(shared_hamiltonian(cfg, R2_EXP_POTENTIAL), z_target)
+        guess = listed[np.abs(listed - (3.4 - 0.1j)).argmin()]
+        pole = refine_resonance(guess, z_target, cfg, R2_EXP_POTENTIAL)
+        assert pole.converged
+        grid = EnergyGrid(pole.e_r, pole.e_r + 1.0, 2, pole.energy.imag)
+        assert grid.energies()[0] == pole.energy
+        charges = [t.z_values[0] for t in sweep(cfg, R2_EXP_POTENTIAL, grid)]
+        assert np.abs(np.array(charges) - z_target).min() <= 1e-9
 
     def test_parallel_matches_serial_exactly(self):
         # BLAS is a sweep's only parallelism: two sweeps of one grid agree
