@@ -146,18 +146,23 @@ def gauss_rule(m: int, nu: float) -> QuadratureRule:
     """Gauss quadrature of size m from diagonalizing the J matrix.
 
     Nodes come ascending from `lapack.eigh_tridiagonal` on J's two bands,
-    made once per (m, nu); the tridiagonal solver forms no dense J, and its
-    dense fallback gives the same bits up to column sign. Column signs are
+    made once per (m, nu); the tridiagonal solver forms no dense J. Where
+    the process's LAPACK has no such solver, numpy's dense eigensolver on
+    `build_j_matrix` gives the same bits up to column sign. Column signs are
     left as the solver returns them: every use of the rule multiplies two
     entries of one column, vectors[n, k] * vectors[m, k], and negating both
     factors leaves that product, and so every sum of such products, exact to
-    the bit. Rules are cached by (m, nu) and shared between callers, which
-    is safe because their arrays are read-only.
+    the bit. The vectors are Fortran-ordered whichever solver made them:
+    BLAS may round V's products differently for another memory layout.
+    Rules are cached by (m, nu) and shared between callers, which is safe
+    because their arrays are read-only.
     """
     try:
-        nodes, vectors = lapack.eigh_tridiagonal(*j_matrix_bands(m, nu))
+        rule = lapack.eigh_tridiagonal(*j_matrix_bands(m, nu))
+        nodes, vectors = np.linalg.eigh(build_j_matrix(m, nu)) if rule is None else rule
     except np.linalg.LinAlgError as exc:  # pragma: no cover - not expected
         raise EigensolverError(f"J-matrix eigensolver failed at order {m}") from exc
+    vectors = np.asfortranarray(vectors)
     nodes.setflags(write=False)
     vectors.setflags(write=False)
     return QuadratureRule(nu=nu, size=m, nodes=nodes, vectors=vectors)

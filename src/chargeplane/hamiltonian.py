@@ -51,6 +51,9 @@ def potential_matrix(
     lower one in place, so V is exactly symmetric. Every entry is one dot
     product over k, whatever the panel; BLAS may still round a product of
     another shape differently, so the panel height is fixed.
+
+    Raises EigensolverError, with no numpy warning, where a quadrature
+    weight overflows, as a Gaussian term does on the ray past theta = pi/4.
     """
     if rule.nu != cfg.nu:
         raise ConfigError(f"quadrature nu={rule.nu} does not match channel nu={cfg.nu}")
@@ -59,7 +62,11 @@ def potential_matrix(
             f"quadrature size {rule.size} smaller than basis size {cfg.n_basis}"
         )
     lam, n = cfg.rotated_scale, cfg.n_basis
-    scaled = -(1.0 / lam) * (rule.nodes * eval_potential(model, rule.nodes / lam))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a weight not finite
+        scaled = -(1.0 / lam) * (rule.nodes * eval_potential(model, rule.nodes / lam))
+    if not np.isfinite(scaled).all():
+        raise EigensolverError(f"the potential overflows on the rotated ray at theta = {cfg.theta}"
+                               " (a Gaussian term grows like exp(b r^2 |cos 2 theta|) past pi/4)")
     vecs = rule.vectors[:n, :]
     mat = np.empty((n, n), dtype=np.complex128)
     for part, weights in ((mat.real, scaled.real), (mat.imag, scaled.imag)):

@@ -5,15 +5,19 @@ to one thread (`one_thread`).
 
 numpy's wheels bundle an ILP64 OpenBLAS that exports all of LAPACK under
 `scipy_` names with a `64_` suffix, so neither refinement nor assembly needs
-a scipy import, which costs a cold process more than numpy itself. Its
-Fortran interface is called through ctypes: every integer is an int64 passed
-by reference, and each one-character argument (`uplo`, `jobz`) takes a
-hidden length argument at the end. Where those symbols are missing (numpy
-built on MKL or on a system LAPACK, or no readable /proc/self/maps), the
-LDL^T pair falls back to `scipy.linalg`'s wrappers, and `eigh_tridiagonal`
-to numpy's dense symmetric eigensolver. The two libraries' pivot arrays
-differ in integer width, so factors carry their own solve, and only the
-library that made them solves with them.
+a scipy import, which costs a cold process more than numpy itself. One
+cached lookup (`_ilp64`) finds the first loaded OpenBLAS that exports all
+three routines the module calls, `scipy_zsytrf_64_`, `scipy_zsytrs_64_` and
+`scipy_dstevd_64_`, and both bindings read it. Their Fortran interface is
+called through ctypes: every integer is an int64 passed by reference, and
+each one-character argument (`uplo`, `jobz`) takes a hidden length argument
+at the end. Where no loaded OpenBLAS exports all three (numpy built on MKL
+or on a system LAPACK, or no readable /proc/self/maps), the LDL^T pair falls
+back to `scipy.linalg`'s wrappers, and `eigh_tridiagonal` returns None, so
+that its caller diagonalizes the dense matrix instead. The two libraries'
+pivot arrays differ in integer width, so factors carry their own solve, and
+only the library that made them solves with them. Every array LAPACK writes
+in place passes one check (`_writable`) first.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ _UPPER = ctypes.c_char_p(b"U")
 _VECTORS = ctypes.c_char_p(b"V")
 _CHAR_LENGTH = ctypes.c_size_t(1)
 _ONE = ctypes.byref(ctypes.c_int64(1))
+# The routines the bindings call, as numpy's ILP64 OpenBLAS exports them.
+_ROUTINES = ("scipy_zsytrf_64_", "scipy_zsytrs_64_", "scipy_dstevd_64_")
 
 
 class Factors(NamedTuple):
@@ -58,10 +64,13 @@ def openblas_paths() -> list[str]:
     return sorted(p for p in paths if "openblas" in os.path.basename(p))
 
 
-def _check_rhs(b: np.ndarray, n: int):
-    if not (b.shape == (n,) and b.dtype == np.complex128 and b.flags.c_contiguous
-            and b.flags.writeable):
-        raise ValueError(f"expected a writable contiguous complex128 vector of length {n}")
+def _writable(a: np.ndarray, shape: tuple, dtype: type):
+    """Raise ValueError unless a is a writable C-contiguous array of that
+    shape and dtype, which LAPACK may overwrite in place."""
+    if not (a.shape == shape and a.dtype == dtype and a.flags.c_contiguous
+            and a.flags.writeable):
+        raise ValueError(f"expected a writable C-contiguous {np.dtype(dtype)} array of shape"
+                         f" {shape}, got {a.dtype} of shape {a.shape}")
 
 
 class _OpenBLAS:
@@ -83,10 +92,9 @@ class _OpenBLAS:
         none, its length, and the ctypes types of an n x n matrix, n pivots
         and an n-vector."""
         order, lwork, info = ctypes.c_int64(n), ctypes.c_int64(-1), ctypes.c_int64()
-        query = np.zeros(1, dtype=np.complex128)
-        ptr = ctypes.c_void_p(query.ctypes.data)  # A is not read by the query
-        self._sytrf(_UPPER, ctypes.byref(order), ptr, ctypes.byref(order), None, ptr,
-                    ctypes.byref(lwork), ctypes.byref(info), _CHAR_LENGTH)
+        query = np.zeros(1, dtype=np.complex128)  # also A, which the query does not read
+        self._sytrf(_UPPER, ctypes.byref(order), query.ctypes, ctypes.byref(order), None,
+                    query.ctypes, ctypes.byref(lwork), ctypes.byref(info), _CHAR_LENGTH)
         work = np.empty(max(1, int(query[0].real)), dtype=np.complex128)
         lwork.value = len(work)
         types = (ctypes.c_char * (16 * n * n), ctypes.c_char * (8 * n), ctypes.c_char * (16 * n))
@@ -105,7 +113,7 @@ class _OpenBLAS:
         sytrs = self._sytrs
 
         def solve(b: np.ndarray):
-            _check_rhs(b, n)
+            _writable(b, (n,), np.complex128)
             sytrs(_UPPER, order, _ONE, a_arg, order, ipiv_arg, rhs_type.from_buffer(b), order,
                   info_arg, _CHAR_LENGTH)
 
@@ -121,8 +129,8 @@ class _SciPy:
             import scipy.linalg
         except ImportError as exc:
             raise EigensolverError(
-                "no LDL^T backend: numpy's LAPACK exports no scipy_zsytrf_64_ and "
-                f"scipy_zsytrs_64_, and scipy.linalg cannot be imported ({exc})"
+                f"no LDL^T backend: no loaded OpenBLAS exports {', '.join(_ROUTINES)},"
+                f" and scipy.linalg cannot be imported ({exc})"
             ) from exc
 
         self._sytrf, self._sytrs, self._sytrf_lwork = scipy.linalg.get_lapack_funcs(
@@ -141,73 +149,64 @@ class _SciPy:
         sytrs = self._sytrs
 
         def solve(b: np.ndarray):
-            _check_rhs(b, len(ipiv))
+            _writable(b, ipiv.shape, np.complex128)
             sytrs(ldu, ipiv, b, overwrite_b=True)  # in place: b is contiguous
 
         return Factors(ipiv, info, solve)
 
 
-def _exported(*names: str) -> list | None:
-    """The named functions of the first loaded OpenBLAS that exports them
-    all, with no return value declared; None where none does."""
+@lru_cache(maxsize=1)
+def _ilp64() -> ctypes.PyDLL | None:
+    """The first loaded OpenBLAS (`openblas_paths`) that exports all of
+    _ROUTINES, with their return values declared void; None where none
+    does."""
     for path in openblas_paths():
         lib = ctypes.PyDLL(path)
-        if all(hasattr(lib, name) for name in names):
-            functions = [getattr(lib, name) for name in names]
-            for function in functions:
-                function.restype = None
-            return functions
+        if all(hasattr(lib, name) for name in _ROUTINES):
+            for name in _ROUTINES:
+                getattr(lib, name).restype = None
+            return lib
     return None
 
 
 @lru_cache(maxsize=1)
 def _backend():
-    """The first loaded OpenBLAS that exports the ILP64 symbols, else scipy."""
-    found = _exported("scipy_zsytrf_64_", "scipy_zsytrs_64_")
-    return _SciPy() if found is None else _OpenBLAS(*found)
+    """The ILP64 OpenBLAS's LDL^T pair (`_ilp64`), else scipy's."""
+    lib = _ilp64()
+    return _SciPy() if lib is None else _OpenBLAS(lib.scipy_zsytrf_64_, lib.scipy_zsytrs_64_)
 
 
-@lru_cache(maxsize=1)
-def _dstevd():
-    found = _exported("scipy_dstevd_64_")
-    return None if found is None else found[0]
-
-
-def _pointer(a: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(a.ctypes.data)
-
-
-def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple:
+def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple | None:
     """Eigenvalues, ascending, and orthonormal eigenvectors (as columns) of
     the real symmetric tridiagonal matrix with diagonal diag and first
-    off-diagonal off.
+    off-diagonal off; None where no loaded OpenBLAS exports the ILP64
+    routines (`_ilp64`).
 
     diag and off must be writable contiguous float64 arrays of lengths n and
-    n - 1. dstevd in numpy's OpenBLAS overwrites them, returns diag as the
+    n - 1, whatever the library. dstevd overwrites them, returns diag as the
     eigenvalues and the eigenvectors Fortran-ordered, and forms no dense
-    matrix: its workspace holds n^2 + 4n + 1 doubles. Without
-    scipy_dstevd_64_, numpy's dense syevd on the same bands gives the same
-    bits up to column sign: its reduction of a tridiagonal matrix makes
-    identity reflectors, then runs the same divide-and-conquer solver.
-    Raises numpy.linalg.LinAlgError where that solver fails to converge.
+    matrix: its workspace holds n^2 + 4n + 1 doubles. numpy's dense syevd
+    on the same matrix gives the same bits up to column sign: its reduction
+    of a tridiagonal matrix makes identity reflectors, then runs the same
+    divide-and-conquer solver. Raises numpy.linalg.LinAlgError where dstevd
+    fails to converge.
     """
     n = len(diag)
-    for band, length in ((diag, n), (off, n - 1)):
-        if not (band.shape == (length,) and band.dtype == np.float64
-                and band.flags.c_contiguous and band.flags.writeable):
-            raise ValueError(f"expected writable contiguous float64 bands of lengths {n}, {n - 1}")
-    dstevd = _dstevd()
-    if dstevd is None:
-        return np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    _writable(diag, (n,), np.float64)
+    _writable(off, (n - 1,), np.float64)
+    lib = _ilp64()
+    if lib is None:
+        return None
     vectors = np.empty((n, n))  # C-ordered: row k holds eigenvector k
     work = np.empty(1 + 4 * n + n * n)
     iwork = np.empty(3 + 5 * n, dtype=np.int64)
     order, info = ctypes.c_int64(n), ctypes.c_int64()
-    # off may be empty (n = 1), which dstevd does not read
-    dstevd(_VECTORS, ctypes.byref(order), _pointer(diag), _pointer(off),
-           _pointer(vectors), ctypes.byref(order), _pointer(work),
-           ctypes.byref(ctypes.c_int64(len(work))), _pointer(iwork),
-           ctypes.byref(ctypes.c_int64(len(iwork))), ctypes.byref(info), _CHAR_LENGTH)
+    # an array's .ctypes passes its data pointer; off may be empty (n = 1),
+    # which dstevd does not read
+    lib.scipy_dstevd_64_(_VECTORS, ctypes.byref(order), diag.ctypes, off.ctypes, vectors.ctypes,
+                         ctypes.byref(order), work.ctypes, ctypes.byref(ctypes.c_int64(len(work))),
+                         iwork.ctypes, ctypes.byref(ctypes.c_int64(len(iwork))),
+                         ctypes.byref(info), _CHAR_LENGTH)
     if info.value != 0:
         raise np.linalg.LinAlgError(f"dstevd failed to converge (info = {info.value})")
     return diag, vectors.T
@@ -226,9 +225,7 @@ def ldlt(a: np.ndarray) -> Factors:
     2 x 2 pivot block, whose diagonal may be all zeros.
     """
     n = len(a)
-    if not (a.shape == (n, n) and a.dtype == np.complex128 and a.flags.c_contiguous
-            and a.flags.writeable):
-        raise ValueError(f"expected a writable C-ordered complex128 square matrix, got {a.shape}")
+    _writable(a, (n, n), np.complex128)
     factors = _backend().factor(a)
     if factors.info > 0:
         pivots = np.diagonal(a)

@@ -63,7 +63,6 @@ class TableRow:
     tol_e_r: float
     tol_gamma: float
     converged: bool
-    citation: str
 
     @property
     def ok(self) -> bool:
@@ -108,7 +107,6 @@ def run_table(table: str, tolerance: float | None = None) -> list[TableRow]:
                 tol_e_r=tol_e,
                 tol_gamma=tol_g,
                 converged=res.converged,
-                citation=row["citation"],
             )
         )
     return results

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from chargeplane import resonance
+from chargeplane import lapack, resonance
+from chargeplane.basis import gauss_rule
 
 # A failing draw prints its @reproduce_failure blob, so a draw-dependent
 # failure can be replayed exactly; the draws themselves stay random.
@@ -19,6 +20,25 @@ def _empty_assembly_cache():
     """Each test starts with no shared assembly, so assembly counts do not
     depend on which tests ran before it."""
     resonance.shared_hamiltonian.cache_clear()
+
+
+@pytest.fixture
+def no_ilp64(monkeypatch):
+    """numpy built on a LAPACK without the ILP64 routines: the one library
+    lookup finds none, so LDL^T falls back to scipy and the Gauss rule to
+    numpy's dense eigensolver. What was resolved or computed through the
+    lookup, the LDL^T backend, the Gauss rules and the shared assemblies, is
+    dropped on entry and again on exit, before the lookup is restored."""
+
+    def drop_resolved():
+        lapack._backend.cache_clear()
+        gauss_rule.cache_clear()
+        resonance.shared_hamiltonian.cache_clear()
+
+    monkeypatch.setattr(lapack, "_ilp64", lambda: None)
+    drop_resolved()
+    yield
+    drop_resolved()
 
 
 @pytest.fixture

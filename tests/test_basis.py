@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import eval_genlaguerre, gammaln
@@ -20,7 +20,6 @@ from chargeplane import (
     gauss_rule,
     potential_matrix,
 )
-from chargeplane import lapack
 from chargeplane.basis import MAX_ORDER, j_factor_bands
 
 
@@ -122,23 +121,26 @@ class TestGaussRule:
     def test_rule_is_the_dense_eigensolver_bit_for_bit(self, m, nu):
         assert_dense_rule(gauss_rule.__wrapped__(m, nu), m, nu)
 
-    @settings(max_examples=20, deadline=None)
+    # numpy built on a LAPACK without the ILP64 symbols, and no scipy; the
+    # function-scoped fixtures hold for every example
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(m=st.integers(1, 250), nu=st.sampled_from([1, 3, 5, 7]))
-    def test_fallback_needs_no_scipy(self, m, nu):
-        # numpy built on a LAPACK without the ILP64 symbols, and no scipy
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lapack, "openblas_paths", lambda: [])
-            patch.setitem(sys.modules, "scipy", None)
-            lapack._dstevd.cache_clear()
-            gauss_rule.cache_clear()
-            try:
-                assert lapack._dstevd() is None
-                assert_dense_rule(gauss_rule(m, nu), m, nu)
-                cfg = ChannelConfig(l=(nu - 1) // 2, n_basis=m, scale=20.0, theta=0.5)
-                RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)  # assembly needs no scipy either
-            finally:
-                lapack._dstevd.cache_clear()
-                gauss_rule.cache_clear()
+    def test_fallback_needs_no_scipy(self, no_ilp64, monkeypatch, m, nu):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        assert_dense_rule(gauss_rule(m, nu), m, nu)
+        cfg = ChannelConfig(l=(nu - 1) // 2, n_basis=m, scale=20.0, theta=0.5)
+        RotatedHamiltonian(cfg, R2_EXP_POTENTIAL)  # assembly needs no scipy either
+
+    # at these orders the dense solver's vectors, left C-ordered, gave V
+    # other bits than the same rule Fortran-ordered
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_fallback_assembles_the_same_operator_bit_for_bit(self, request, n):
+        cfg = ChannelConfig(l=0, n_basis=n, scale=20.0, theta=0.7)
+        default = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL).matrix(3.43 - 0.01j)
+        request.getfixturevalue("no_ilp64")
+        fallback = RotatedHamiltonian(cfg, R2_EXP_POTENTIAL).matrix(3.43 - 0.01j)
+        assert fallback.tobytes() == default.tobytes()
 
     # Every reader of rule.vectors multiplies two entries of one column, so a
     # column's sign cannot reach the potential matrix, bit for bit.

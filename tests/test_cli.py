@@ -33,6 +33,14 @@ FIND = {
     "scan": {"guess": {"re": 3.43, "im": -0.01}, "z_targets": [0.0]},
 }
 
+# A Gaussian term rotated past theta = pi/4 grows like exp(b r^2 |cos 2 theta|)
+# and overflows at the outer quadrature nodes; every command needs a scan key.
+OVERFLOWING = {
+    "potential": [{"c": 1.0, "p": 0, "b": 2.0, "q": 2}],
+    "channel": {"l": 0, "n_basis": 40, "scale": 0.5, "theta": 0.875},
+    "scan": {**SWEEP["scan"], **FIND["scan"], "energy": {"re": 3.43, "im": -0.01}},
+}
+
 
 NON_NUMERIC = {
     "channel.scale": "twenty",
@@ -472,6 +480,14 @@ class TestExitCodes:
         assert line.startswith("configuration error: channel: n_basis = 10000000000000000198")
         assert "exceeds 759250124" in line
 
+    @pytest.mark.parametrize("command", ["eigs", "find", "scan", "sweep"])
+    def test_overflowing_potential_exits_3_with_one_line(self, tmp_path, command):
+        proc = _run_cli(command, _write_cfg(tmp_path, OVERFLOWING))
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("solver failure: the potential overflows on the rotated ray")
+        assert "Warning" not in proc.stderr
+
     def test_table_tolerance_failure(self, tmp_path, capsys):
         data = {
             "channel": {"l": 0, "n_basis": 200, "scale": 20.0, "theta": 0.7},
@@ -552,16 +568,15 @@ class TestSharedAssembly:
 
 
 # The thread count of every loaded OpenBLAS at each LDL^T factorization of
-# a `find` run (config argv[1], output directory argv[2]) in which numpy's
-# OpenBLAS hides its ILP64 zsytrf/zsytrs pair, so scipy's OpenBLAS, loaded
-# only for that fallback, factors. The library lookup itself still works.
+# a `find` run (config argv[1], output directory argv[2]) in which the ILP64
+# lookup finds nothing, so scipy's OpenBLAS, loaded only for that fallback,
+# factors. The thread controls still see every loaded OpenBLAS.
 _PIN_UNDER_THE_FALLBACK = """
 import json, os, sys
 os.environ["OPENBLAS_NUM_THREADS"] = "2"  # read when each OpenBLAS loads
 from chargeplane import lapack
 from chargeplane.cli import main
-exported = lapack._exported
-lapack._exported = lambda *names: None if "scipy_zsytrf_64_" in names else exported(*names)
+lapack._ilp64 = lambda: None
 factor, seen = lapack._SciPy.factor, []
 def recording(self, a):
     seen.append([get() for get, _ in lapack._thread_controls()])
@@ -578,7 +593,7 @@ import sys
 sys.modules["scipy.linalg"] = None
 from chargeplane import lapack
 from chargeplane.cli import main
-lapack._exported = lambda *names: None
+lapack._ilp64 = lambda: None
 out = sys.argv[3]
 print(main(["eigs", "--config", sys.argv[1], "--out", out]),
       main(["find", "--config", sys.argv[2], "--out", out]))

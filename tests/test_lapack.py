@@ -1,8 +1,9 @@
-"""Tests for the LDL^T binding: numpy's own OpenBLAS and the scipy fallback
+"""Tests for the LAPACK binding: numpy's own OpenBLAS and the scipy fallback
 give the same factors and solves, factors keep the library that made them,
-an exactly zero pivot is repaired, a process with neither library is a
-solver error, importing the package loads no scipy and no PyYAML, and no
-other module of the package knows which library it has."""
+an exactly zero pivot is repaired, the tridiagonal eigensolver rejects
+bands it cannot overwrite, a process with neither library is a solver
+error, importing the package loads no scipy and no PyYAML, and no other
+module of the package knows which library it has."""
 
 import re
 import sys
@@ -11,26 +12,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chargeplane import lapack
+from chargeplane import basis, lapack
 from chargeplane.errors import EigensolverError
 from chargeplane.reference import run_table
 
 
-def _force_scipy(monkeypatch):
-    """Make the library lookup find nothing, so the next factorization
-    resolves the scipy fallback."""
-    monkeypatch.setattr(lapack, "openblas_paths", lambda: [])
-    lapack._backend.cache_clear()
-
-
 @pytest.fixture(params=["openblas", "scipy"])
-def backend(request, monkeypatch):
+def backend(request):
+    """numpy's ILP64 OpenBLAS, or the fallbacks where the library lookup
+    finds none (`no_ilp64`): scipy for LDL^T, numpy's dense eigensolver for
+    the Gauss rule."""
     if request.param == "scipy":
-        _force_scipy(monkeypatch)
-    elif not isinstance(lapack._backend(), lapack._OpenBLAS):
-        pytest.skip("numpy's OpenBLAS exports no ILP64 zsytrf here")
-    yield request.param
-    lapack._backend.cache_clear()
+        request.getfixturevalue("no_ilp64")
+    elif lapack._ilp64() is None:
+        pytest.skip("numpy's OpenBLAS exports no ILP64 routines here")
+    return request.param
 
 
 def _complex_symmetric(n, seed=0):
@@ -55,13 +51,12 @@ class TestLDLT:
         assert factors.info == 0
         assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x)
 
-    def test_factors_and_pivots_equal_the_other_library(self, monkeypatch):
+    def test_factors_and_pivots_equal_the_other_library(self, request):
         a = _complex_symmetric(150, seed=3)
         by_default, by_scipy = a.copy(), a.copy()
         first = lapack.ldlt(by_default)
-        _force_scipy(monkeypatch)
+        request.getfixturevalue("no_ilp64")
         second = lapack.ldlt(by_scipy)
-        lapack._backend.cache_clear()
         x, y = np.ones(150, dtype=complex), np.ones(150, dtype=complex)
         first.solve(x)
         second.solve(y)
@@ -69,13 +64,12 @@ class TestLDLT:
         assert np.array_equal(first.ipiv, second.ipiv)
         assert np.array_equal(x, y)
 
-    def test_factors_solve_with_the_library_that_made_them(self, monkeypatch):
+    def test_factors_solve_with_the_library_that_made_them(self, request):
         a = _complex_symmetric(40, seed=5)
         factors = lapack.ldlt(a.copy())
-        _force_scipy(monkeypatch)  # a later factorization would use scipy
+        request.getfixturevalue("no_ilp64")  # a later factorization would use scipy
         x = np.ones(40, dtype=complex)
         factors.solve(x)
-        lapack._backend.cache_clear()
         assert np.linalg.norm(a @ x - 1) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x)
 
     def test_exactly_zero_pivot_is_reported(self, backend):
@@ -134,26 +128,40 @@ class TestLDLT:
             factors.solve(bad)
 
 
-def test_scipy_fallback_reproduces_the_table(monkeypatch):
+class TestEighTridiagonal:
+    # The bands are checked before the library lookup, so both paths reject
+    # them alike.
+    @pytest.mark.parametrize("band", ["diag", "off"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            _read_only,
+            lambda v: np.repeat(v, 2)[::2],  # not contiguous
+            lambda v: v.astype(np.float32),
+            lambda v: np.append(v, 1.0),  # wrong length
+        ],
+        ids=["read-only", "non-contiguous", "float32", "wrong-length"],
+    )
+    def test_rejects_what_it_cannot_overwrite(self, backend, band, bad):
+        bands = dict(zip(("diag", "off"), basis.j_matrix_bands(5, 1.0)))
+        bands[band] = bad(bands[band])
+        with pytest.raises(ValueError):
+            lapack.eigh_tridiagonal(bands["diag"], bands["off"])
+
+
+def test_scipy_fallback_reproduces_the_table(request):
     default = [(r.computed_e_r, r.computed_gamma) for r in run_table("table1")]
-    _force_scipy(monkeypatch)
-    try:
-        fallback = [(r.computed_e_r, r.computed_gamma) for r in run_table("table1")]
-        assert isinstance(lapack._backend(), lapack._SciPy)
-    finally:
-        lapack._backend.cache_clear()
+    request.getfixturevalue("no_ilp64")
+    fallback = [(r.computed_e_r, r.computed_gamma) for r in run_table("table1")]
+    assert isinstance(lapack._backend(), lapack._SciPy)
     assert fallback == default
 
 
-def test_no_backend_is_a_solver_error(monkeypatch):
+def test_no_backend_is_a_solver_error(no_ilp64, monkeypatch):
     # numpy built on a LAPACK without the ILP64 symbols, and no scipy
-    _force_scipy(monkeypatch)
     monkeypatch.setitem(sys.modules, "scipy.linalg", None)
-    try:
-        with pytest.raises(EigensolverError, match="scipy_zsytrf_64_.*scipy.linalg"):
-            lapack.ldlt(_complex_symmetric(3))
-    finally:
-        lapack._backend.cache_clear()
+    with pytest.raises(EigensolverError, match="scipy_zsytrf_64_.*scipy.linalg"):
+        lapack.ldlt(_complex_symmetric(3))
 
 
 # Which scipy and PyYAML modules are loaded after importing the package

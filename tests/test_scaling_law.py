@@ -113,12 +113,16 @@ def test_scaling_law(model, l, n, oversample, scale, theta, z, s, energy, pick, 
     if subnormal(energy, s * s * energy, z, s * z):
         event("breaks the condition: a subnormal energy or charge")
         return
-    # numpy raises at the first under- or overflow of the unscaled side: a
-    # Gaussian term rotated past theta = pi/4 grows like
-    # exp(b r^2 |cos 2 theta|), and a product may be subnormal
+    # numpy raises at the first under- or overflow of the unscaled side, and
+    # the assembly raises EigensolverError where V overflows (a Gaussian term
+    # rotated past theta = pi/4 grows like exp(b r^2 |cos 2 theta|)); a
+    # product may also be subnormal
     with np.errstate(all="raise"):
         try:
-            ham = RotatedHamiltonian(cfg, model)
+            try:
+                ham = RotatedHamiltonian(cfg, model)
+            except EigensolverError as exc:
+                raise FloatingPointError(exc) from exc
             mat = ham.matrix(energy, z)
             guess = poles(ham, z)[pick % n] * (1 + rel)
             if subnormal(guess, s * s * guess):

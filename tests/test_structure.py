@@ -48,7 +48,6 @@ def test_only_the_basis_and_the_operator_know_the_j_bands():
 
 # Public names that no module of the package uses, each with its one reason.
 _UNUSED_PUBLIC = {
-    "build_j_matrix": "the dense J matrix, the tests' reference for its bands",
     "eigen_decompose": "the eigensolver contract of acceptance criterion 8",
     "eigenvalue_derivative": "criterion 8's analytic dZ/dE, a continuation predictor's slope",
     "GAUSSIAN_WELL_POTENTIAL": "the potential of acceptance criterion 3",
